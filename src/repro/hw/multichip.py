@@ -22,7 +22,10 @@ device):
 Per-device wire bytes are identical across topologies (they are
 schedule-optimal either way); what the topology changes is *time* —
 latency hops and transfer serialization.  Pipeline ``send`` moves the
-full payload point-to-point on both.
+full payload point-to-point on both.  Which collectives one forward
+pass runs is listed once, by :func:`pass_collectives`; the simulator
+prices that list and :class:`repro.shard.collective.Collective`
+charges it for every served pass.
 
 Assumptions, stated once: each chip keeps its own DRAM channel (the
 per-chip memory-cycle model is unchanged), tensor-parallel peers run
@@ -48,12 +51,15 @@ from repro.models.config import GEMMShape, ModelConfig
 from repro.obs.trace import NOOP_SPAN, TRACER
 
 __all__ = [
+    "CollectiveOp",
     "LinkSpec",
     "ShardSimResult",
     "TOPOLOGIES",
     "collective_seconds",
+    "pass_collectives",
     "simulate_sharded",
     "simulate_sharded_plan",
+    "stage_layer_counts",
     "wire_bytes_per_device",
 ]
 
@@ -177,10 +183,58 @@ class ShardSimResult:
         return self.energy.total_uj * self.time_ms
 
 
-def _stage_layer_counts(n_layers: int, pp: int) -> List[int]:
-    """Contiguous per-stage layer counts, sizes differing by at most 1."""
+def stage_layer_counts(n_layers: int, pp: int) -> List[int]:
+    """Contiguous per-stage layer counts, sizes differing by at most 1
+    (earlier stages get the extras)."""
     base, extra = divmod(n_layers, pp)
     return [base + (1 if s < extra else 0) for s in range(pp)]
+
+
+@dataclass(frozen=True)
+class CollectiveOp:
+    """One collective of a forward pass: ``op`` over ``n`` devices
+    carrying ``payload_bytes`` of logical (FP16) tensor data."""
+
+    op: str
+    payload_bytes: float
+    n: int
+
+    def wire_bytes(self, topology: str = "ring") -> float:
+        """Bytes on the wire summed over every participating device."""
+        if self.op == "send":
+            return float(self.payload_bytes)
+        return self.n * wire_bytes_per_device(
+            self.op, self.payload_bytes, self.n, topology
+        )
+
+    def seconds(self, link: LinkSpec, topology: str = "ring") -> float:
+        return collective_seconds(self.op, self.payload_bytes, self.n, link, topology)
+
+
+def pass_collectives(
+    n_layers: int, hidden: int, vocab: int, m: int, tp: int, pp: int
+) -> List[CollectiveOp]:
+    """The collectives of one ``m``-token forward pass on a ``tp x pp`` mesh.
+
+    The Megatron-LM schedule (Shoeybi et al., 2019), stage by stage:
+    two all-reduces per layer when ``tp > 1`` (attention out, MLP out),
+    one logits all-gather on the last stage, and one point-to-point
+    ``send`` of the boundary activation after every stage but the last.
+    The simulator prices this list and the serving ledger
+    (:class:`repro.shard.collective.Collective`) charges it, so modeled
+    and served traffic cannot drift apart.
+    """
+    hidden_payload = m * hidden * _FP16_BYTES
+    ops: List[CollectiveOp] = []
+    for stage, n_local in enumerate(stage_layer_counts(n_layers, pp)):
+        last = stage == pp - 1
+        if tp > 1:
+            ops += [CollectiveOp("all_reduce", hidden_payload, tp)] * (2 * n_local)
+            if last:
+                ops.append(CollectiveOp("all_gather", m * vocab * _FP16_BYTES, tp))
+        if not last:
+            ops.append(CollectiveOp("send", hidden_payload, 1))
+    return ops
 
 
 def _sharded_stage_gemms(
@@ -339,13 +393,9 @@ def _sharded_pass(
     gemm_bits: Optional[Mapping[str, float]],
 ) -> _PassTotals:
     """One forward pass over ``m`` tokens across the whole mesh."""
-    arch = accel.arch
-    freq_hz = arch.frequency_ghz * 1e9
+    freq_hz = accel.arch.frequency_ghz * 1e9
     out = _PassTotals()
-    hidden_payload = m * cfg.hidden * _FP16_BYTES
-    logits_payload = m * cfg.vocab * _FP16_BYTES
-    counts = _stage_layer_counts(cfg.n_layers, pp)
-    for stage, n_local in enumerate(counts):
+    for stage, n_local in enumerate(stage_layer_counts(cfg.n_layers, pp)):
         first, last = stage == 0, stage == pp - 1
         compute, memory, energy = _device_pass(
             cfg, accel, weight_bits, m, context, tp, n_local,
@@ -359,28 +409,9 @@ def _sharded_pass(
             buffer_uj=tp * energy.buffer_uj,
             core_uj=tp * energy.core_uj,
         )
-        if tp > 1:
-            # Two tensor-parallel collectives per layer (attention out,
-            # MLP out); one logits all-gather on the last stage.
-            coll_s = 2 * n_local * collective_seconds(
-                "all_reduce", hidden_payload, tp, link, topology
-            )
-            coll_bytes = 2 * n_local * tp * wire_bytes_per_device(
-                "all_reduce", hidden_payload, tp, topology
-            )
-            if last:
-                coll_s += collective_seconds(
-                    "all_gather", logits_payload, tp, link, topology
-                )
-                coll_bytes += tp * wire_bytes_per_device(
-                    "all_gather", logits_payload, tp, topology
-                )
-            out.interconnect_cycles += coll_s * freq_hz
-            out.interconnect_bytes += coll_bytes
-        if not last:
-            send_s = collective_seconds("send", hidden_payload, 1, link, topology)
-            out.interconnect_cycles += send_s * freq_hz
-            out.interconnect_bytes += hidden_payload
+    for c in pass_collectives(cfg.n_layers, cfg.hidden, cfg.vocab, m, tp, pp):
+        out.interconnect_cycles += c.seconds(link, topology) * freq_hz
+        out.interconnect_bytes += c.wire_bytes(topology)
     out.cycles += out.interconnect_cycles
     return out
 

@@ -16,6 +16,7 @@ __all__ = [
     "softmax",
     "gelu",
     "silu",
+    "sinusoidal_positions",
     "rope_cache",
     "apply_rope",
     "causal_attention",
@@ -55,6 +56,18 @@ def gelu(x: np.ndarray) -> np.ndarray:
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU / swish (Llama activation)."""
     return x / (1.0 + np.exp(-x))
+
+
+def sinusoidal_positions(seq_len: int, hidden: int) -> np.ndarray:
+    """Sinusoidal position embedding table ``(seq_len, hidden)`` (the
+    OPT-style learned-position stand-in)."""
+    pos = np.arange(seq_len)[:, None]
+    dim = np.arange(hidden // 2)[None, :]
+    angle = pos / 10000 ** (2 * dim / hidden)
+    out = np.zeros((seq_len, hidden))
+    out[:, 0::2] = np.sin(angle)
+    out[:, 1::2] = np.cos(angle)
+    return 0.02 * out
 
 
 def rope_cache(seq_len: int, head_dim: int, base: float = 10000.0):

@@ -37,6 +37,7 @@ from repro.models.layers import (
     rms_norm,
     rope_cache,
     silu,
+    sinusoidal_positions,
 )
 from repro.models.synth import generate_model_weights
 from repro.quant.kv import KVQuantConfig, quantize_kv
@@ -142,7 +143,9 @@ class CausalLM:
         self.weights = weights if weights is not None else generate_model_weights(config, seed)
         self._use_layernorm = config.family in _LN_FAMILIES
         self._use_rope = config.family != "opt"
-        self._rope = None
+        #: RoPE ``(cos, sin)`` or OPT ``(positions,)`` tables, grown on
+        #: demand by :meth:`_position_tables`.
+        self._pos: Optional[Tuple[np.ndarray, ...]] = None
         #: When set (e.g. 8), inputs of every block linear are
         #: dynamically quantized to this many bits, per-tensor
         #: symmetric — the SmoothQuant INT8-activation mode.
@@ -190,15 +193,27 @@ class CausalLM:
     # ------------------------------------------------------------------
     # Forward pass.
     # ------------------------------------------------------------------
-    def _positions(self, seq: int, hidden: int) -> np.ndarray:
-        """Sinusoidal position embedding (OPT-style learned-pos stand-in)."""
-        pos = np.arange(seq)[:, None]
-        dim = np.arange(hidden // 2)[None, :]
-        angle = pos / 10000 ** (2 * dim / hidden)
-        out = np.zeros((seq, hidden))
-        out[:, 0::2] = np.sin(angle)
-        out[:, 1::2] = np.cos(angle)
-        return 0.02 * out
+    def _position_tables(self, total: int) -> Tuple[np.ndarray, ...]:
+        """Position tables covering at least ``total`` positions.
+
+        Grown with slack so per-token decode doesn't rebuild them every
+        step (amortized O(1) per position).  Each row depends only on
+        its position, so slices of a grown table equal a fresh one.
+        """
+        if self._pos is None or self._pos[0].shape[0] < total:
+            grown = total if self._pos is None else max(total, 2 * self._pos[0].shape[0])
+            cfg = self.config
+            self._pos = (
+                rope_cache(grown, cfg.sim_head_dim())
+                if self._use_rope
+                else (sinusoidal_positions(grown, cfg.sim_hidden),)
+            )
+        return self._pos
+
+    def _linear(self, x: np.ndarray, name: str) -> np.ndarray:
+        """Apply the named projection — the one hook every block linear
+        and the LM head go through (:mod:`repro.shard` overrides it)."""
+        return linear(x, self.weights[name])
 
     def _norm(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
         if self._use_layernorm:
@@ -235,16 +250,11 @@ class CausalLM:
         total = past + seq
 
         x = self.weights["embed"][tokens] * np.sqrt(h)
-        if not self._use_rope:
-            x = x + self._positions(total, h)[None, past:]
-
+        tables = self._position_tables(total)
         if self._use_rope:
-            if self._rope is None or self._rope[0].shape[0] < total:
-                # Grow with slack so per-token decode doesn't rebuild
-                # the table every step (amortized O(1) per position).
-                grown = total if self._rope is None else max(total, 2 * self._rope[0].shape[0])
-                self._rope = rope_cache(grown, head_dim)
-            cos, sin = self._rope[0][past:total], self._rope[1][past:total]
+            cos, sin = tables[0][past:total], tables[1][past:total]
+        else:
+            x = x + tables[0][None, past:total]
 
         acts: Dict[str, np.ndarray] = {}
 
@@ -253,15 +263,15 @@ class CausalLM:
                 acts[name] = inp.reshape(-1, inp.shape[-1])
 
         for layer in range(cfg.sim_layers):
-            w = lambda s: self.weights[f"layers.{layer}.{s}"]  # noqa: E731
+            p = f"layers.{layer}."
             # --- attention ---
-            xn = self._maybe_quant_act(self._norm(x, w("attn_norm")))
-            record(f"layers.{layer}.q_proj", xn)
-            record(f"layers.{layer}.k_proj", xn)
-            record(f"layers.{layer}.v_proj", xn)
-            q = linear(xn, w("q_proj")).reshape(batch, seq, n_heads, head_dim)
-            k = linear(xn, w("k_proj")).reshape(batch, seq, n_kv, head_dim)
-            v = linear(xn, w("v_proj")).reshape(batch, seq, n_kv, head_dim)
+            xn = self._maybe_quant_act(self._norm(x, self.weights[p + "attn_norm"]))
+            record(p + "q_proj", xn)
+            record(p + "k_proj", xn)
+            record(p + "v_proj", xn)
+            q = self._linear(xn, p + "q_proj").reshape(batch, seq, n_heads, head_dim)
+            k = self._linear(xn, p + "k_proj").reshape(batch, seq, n_kv, head_dim)
+            v = self._linear(xn, p + "v_proj").reshape(batch, seq, n_kv, head_dim)
             q = q.transpose(0, 2, 1, 3)
             k = k.transpose(0, 2, 1, 3)
             v = v.transpose(0, 2, 1, 3)
@@ -277,24 +287,24 @@ class CausalLM:
             attn = causal_attention(q, k, v, past_len=past)
             attn = attn.transpose(0, 2, 1, 3).reshape(batch, seq, h)
             attn = self._maybe_quant_act(attn)
-            record(f"layers.{layer}.o_proj", attn)
-            x = x + linear(attn, w("o_proj"))
+            record(p + "o_proj", attn)
+            x = x + self._linear(attn, p + "o_proj")
 
             # --- MLP ---
-            xn = self._maybe_quant_act(self._norm(x, w("mlp_norm")))
+            xn = self._maybe_quant_act(self._norm(x, self.weights[p + "mlp_norm"]))
             if cfg.gated_mlp:
-                record(f"layers.{layer}.gate_proj", xn)
-                record(f"layers.{layer}.up_proj", xn)
-                gate = silu(linear(xn, w("gate_proj")))
-                up = linear(xn, w("up_proj"))
+                record(p + "gate_proj", xn)
+                record(p + "up_proj", xn)
+                gate = silu(self._linear(xn, p + "gate_proj"))
+                up = self._linear(xn, p + "up_proj")
                 inner = self._maybe_quant_act(gate * up)
-                record(f"layers.{layer}.down_proj", inner)
-                x = x + linear(inner, w("down_proj"))
+                record(p + "down_proj", inner)
+                x = x + self._linear(inner, p + "down_proj")
             else:
-                record(f"layers.{layer}.fc1", xn)
-                inner = self._maybe_quant_act(gelu(linear(xn, w("fc1"))))
-                record(f"layers.{layer}.fc2", inner)
-                x = x + linear(inner, w("fc2"))
+                record(p + "fc1", xn)
+                inner = self._maybe_quant_act(gelu(self._linear(xn, p + "fc1")))
+                record(p + "fc2", inner)
+                x = x + self._linear(inner, p + "fc2")
 
         x = self._norm(x, self.weights["final_norm"])
         if collect:
@@ -310,7 +320,7 @@ class CausalLM:
         (incremental decode); the cache is updated in place.
         """
         x = self.hidden_states(tokens, cache=cache)
-        return linear(x, self.weights["lm_head"])
+        return self._linear(x, "lm_head")
 
     # ------------------------------------------------------------------
     # Stateful serving path.

@@ -372,6 +372,7 @@ class ContinuousBatcher:
             ]
             for state in overdue:
                 queue.remove(state)
+                state.seq.cache = None  # release the KV memory now
                 state.expired = True
                 state.finished_at = now
                 self._expired[state.request_id] = state
@@ -380,6 +381,7 @@ class ContinuousBatcher:
 
     # ------------------------------------------------------------------
     def _finish(self, state: RequestState, report: StepReport) -> None:
+        state.seq.cache = None  # release the KV memory now
         state.finished_at = self.clock()
         self.metrics.completed += 1
         latency = state.finished_at - state.request.submitted_at

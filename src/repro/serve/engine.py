@@ -41,6 +41,8 @@ class SequenceState:
 
     prompt: np.ndarray
     generation: GenerationConfig
+    #: Set by prefill; dropped again once the request finishes or
+    #: expires, so a finished sequence holds no KV memory.
     cache: Optional[KVCache] = None
     generated: List[int] = field(default_factory=list)
     #: Prompt tokens whose KV came from the engine's prefix cache
@@ -49,7 +51,8 @@ class SequenceState:
 
     @property
     def prefilled(self) -> bool:
-        return self.cache is not None
+        # Prefill samples the first token, so this outlives the cache.
+        return bool(self.generated)
 
     @property
     def done(self) -> bool:
@@ -197,6 +200,8 @@ class InferenceEngine:
             raise RuntimeError("prefill before decoding")
         if seq.done:
             raise RuntimeError("sequence already finished")
+        if seq.cache is None:
+            raise RuntimeError("sequence KV cache was released")
         row = self.model.decode_step(np.array([seq.last_token]), seq.cache)[0]
         token = self._sample(row, seq.generation.temperature)
         seq.generated.append(token)

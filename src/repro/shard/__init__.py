@@ -2,17 +2,20 @@
 
 The sharding layer splits a packed model over an explicit
 :class:`DeviceMesh` (``tp`` tensor-parallel shards x ``pp`` pipeline
-stages) and serves it through a :class:`ShardedEngine` whose
-cross-shard traffic all flows through one metered :class:`Collective`.
-Under the default ``reduce="gather"`` mesh the sharded engine's
-logits and token streams are **byte-identical** to the single-device
-engine; ``reduce="sum"`` runs the classic all-reduce schedule with a
-fixed accumulation order (deterministic, token-identical).
+stages) into per-device artifacts, and serves it through a
+:class:`ShardedEngine` whose model is a :class:`ShardedCausalLM` — a
+:class:`~repro.models.transformer.CausalLM` with one ``_linear``
+override for the ``reduce="sum"`` split-K schedule and a
+:class:`Collective` ledger charged once per forward pass.  Under the
+default ``reduce="gather"`` mesh the forward *is* the single-device
+one, so logits and token streams are **byte-identical**;
+``reduce="sum"`` adds per-rank partial sums in fixed rank order
+(deterministic, token-identical).
 
-Interconnect cost is modeled, not wished away: per-topology wire
-bytes and link seconds come from :mod:`repro.hw.multichip`, and the
-same formulas drive the multi-chip design-space axis in
-:mod:`repro.dse`.
+Interconnect cost is modeled, not wished away: the ledger charges the
+collective list of :func:`repro.hw.multichip.pass_collectives`, the
+same list the multi-chip simulator and the :mod:`repro.dse` mesh axis
+price.
 """
 
 from repro.shard.artifact import (
@@ -25,8 +28,8 @@ from repro.shard.collective import Collective, OpStats
 from repro.shard.engine import PREFIX_CACHE_UNSUPPORTED, ShardedEngine
 from repro.shard.errors import ShardError, ShardTopologyError
 from repro.shard.mesh import REDUCE_MODES, DeviceMesh, ShardSpec, partition_specs
-from repro.shard.model import ShardedCausalLM, ShardedKVCache, check_kv_quant
-from repro.shard.partition import shard_artifact, shard_weights, slice_packed
+from repro.shard.model import ShardedCausalLM, check_kv_quant
+from repro.shard.partition import shard_artifact, slice_packed
 
 __all__ = [
     "Collective",
@@ -39,7 +42,6 @@ __all__ = [
     "ShardTopologyError",
     "ShardedCausalLM",
     "ShardedEngine",
-    "ShardedKVCache",
     "check_kv_quant",
     "load_sharded_artifact",
     "mesh_digest",
@@ -47,6 +49,5 @@ __all__ = [
     "save_sharded_artifact",
     "shard_artifact",
     "shard_paths",
-    "shard_weights",
     "slice_packed",
 ]

@@ -1,41 +1,30 @@
-"""The explicit collective layer of the sharded engine.
+"""The interconnect ledger of the sharded engine.
 
-Every cross-shard data movement of
-:class:`~repro.shard.model.ShardedCausalLM` goes through one
-:class:`Collective` — never an ad-hoc ``np.concatenate`` in the
-forward pass — so the numerics are pinned in exactly one place:
-
-* :meth:`all_gather` concatenates per-shard parts in rank order —
-  exact by construction (no arithmetic);
-* :meth:`all_reduce` sums partial results in **fixed rank order**
-  (0, 1, ..., tp-1), left to right — deterministic across runs, and
-  the accumulation-order spec that makes the ``"sum"`` reduce mode
-  reproducible even though float addition is not associative;
-* :meth:`send` moves a pipeline boundary activation (identity on the
-  data, accounted on the wire).
+A :class:`Collective` moves no data: a
+:class:`~repro.shard.model.ShardedCausalLM` computes every projection
+in-process, then calls :meth:`Collective.charge_pass` once per forward
+pass.  The ledger charges exactly the collectives
+:func:`repro.hw.multichip.pass_collectives` lists for the mesh at the
+model's sim shapes — the list the multi-chip simulator prices — so the
+served and the modeled interconnect bill cannot drift apart.
 
 Each op is metered: logical payload bytes (at FP16, the precision a
-deployment would ship activations at), modeled per-topology wire
-bytes and link seconds (formulas from :mod:`repro.hw.multichip`), and
-``shard.collective.bytes`` / ``shard.collective.calls`` observability
-counters, with a per-op span when tracing is enabled.
+deployment would ship activations at), per-topology wire bytes and
+modeled link seconds, and ``shard.collective.bytes`` /
+``shard.collective.calls`` observability counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict
 
 from repro import obs
-from repro.hw.multichip import LinkSpec, collective_seconds, wire_bytes_per_device
-from repro.obs.trace import NOOP_SPAN, TRACER
+from repro.hw.multichip import LinkSpec, pass_collectives
+from repro.models.config import ModelConfig
 from repro.shard.mesh import DeviceMesh
 
 __all__ = ["Collective", "OpStats"]
-
-_FP16_BYTES = 2
 
 
 @dataclass
@@ -57,85 +46,28 @@ class OpStats:
 
 
 class Collective:
-    """Collectives over the ``tp`` axis of one :class:`DeviceMesh`."""
+    """Collective accounting for one :class:`DeviceMesh`."""
 
     def __init__(self, mesh: DeviceMesh, link: LinkSpec = LinkSpec()):
         self.mesh = mesh
         self.link = link
-        self.stats: Dict[str, OpStats] = {
-            "all_gather": OpStats(),
-            "all_reduce": OpStats(),
-            "send": OpStats(),
-        }
+        self.reset()
 
-    # ------------------------------------------------------------------
-    def _account(self, op: str, payload_elems: int, n: int) -> None:
-        payload = payload_elems * _FP16_BYTES
-        s = self.stats[op]
-        s.calls += 1
-        s.payload_bytes += payload
-        wire = n * wire_bytes_per_device(op, payload, n, self.mesh.topology)
-        if op == "send":
-            wire = float(payload)
-        s.wire_bytes += wire
-        s.modeled_seconds += collective_seconds(
-            op, payload, n, self.link, self.mesh.topology
-        )
-        obs.counter("shard.collective.bytes", op=op).inc(int(wire))
-        obs.counter("shard.collective.calls", op=op).inc()
-
-    # ------------------------------------------------------------------
-    def all_gather(
-        self, parts: Sequence[np.ndarray], axis: int = -1, stage: int = 0
-    ) -> np.ndarray:
-        """Concatenate per-rank ``parts`` in rank order along ``axis``."""
-        if len(parts) != self.mesh.tp:
-            raise ValueError(
-                f"all_gather expects {self.mesh.tp} parts, got {len(parts)}"
-            )
-        if self.mesh.tp == 1:
-            return parts[0]
-        with (
-            TRACER.span("shard.all_gather", stage=stage, tp=self.mesh.tp)
-            if TRACER.enabled
-            else NOOP_SPAN
+    def charge_pass(self, cfg: ModelConfig, m: int) -> None:
+        """Charge one forward pass over ``m`` token positions."""
+        mesh = self.mesh
+        for c in pass_collectives(
+            cfg.sim_layers, cfg.sim_hidden, cfg.sim_vocab, m, mesh.tp, mesh.pp
         ):
-            out = np.concatenate(parts, axis=axis)
-        self._account("all_gather", out.size, self.mesh.tp)
-        return out
+            wire = c.wire_bytes(mesh.topology)
+            s = self.stats[c.op]
+            s.calls += 1
+            s.payload_bytes += int(c.payload_bytes)
+            s.wire_bytes += wire
+            s.modeled_seconds += c.seconds(self.link, mesh.topology)
+            obs.counter("shard.collective.bytes", op=c.op).inc(int(wire))
+            obs.counter("shard.collective.calls", op=c.op).inc()
 
-    def all_reduce(
-        self, parts: Sequence[np.ndarray], stage: int = 0
-    ) -> np.ndarray:
-        """Sum per-rank partial results in fixed rank order."""
-        if len(parts) != self.mesh.tp:
-            raise ValueError(
-                f"all_reduce expects {self.mesh.tp} parts, got {len(parts)}"
-            )
-        if self.mesh.tp == 1:
-            return parts[0]
-        with (
-            TRACER.span("shard.all_reduce", stage=stage, tp=self.mesh.tp)
-            if TRACER.enabled
-            else NOOP_SPAN
-        ):
-            out = parts[0].copy()
-            for p in parts[1:]:  # rank order: the accumulation spec
-                out += p
-        self._account("all_reduce", out.size, self.mesh.tp)
-        return out
-
-    def send(self, x: np.ndarray, src_stage: int, dst_stage: int) -> np.ndarray:
-        """Move a pipeline boundary activation between stages."""
-        with (
-            TRACER.span("shard.send", src=src_stage, dst=dst_stage)
-            if TRACER.enabled
-            else NOOP_SPAN
-        ):
-            self._account("send", x.size, 1)
-        return x
-
-    # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """Accounting snapshot: per-op stats plus totals."""
         per_op = {op: s.to_dict() for op, s in self.stats.items()}
@@ -153,5 +85,6 @@ class Collective:
         }
 
     def reset(self) -> None:
-        for op in self.stats:
-            self.stats[op] = OpStats()
+        self.stats: Dict[str, OpStats] = {
+            op: OpStats() for op in ("all_gather", "all_reduce", "send")
+        }

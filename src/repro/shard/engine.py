@@ -10,22 +10,21 @@ single-device engine.  Under the default ``reduce="gather"`` mesh the
 token stream *and* every logit row are byte-identical to the
 single-device engine built from the same artifact.
 
-Two constructors:
+Two constructors, both ending in the full dequantized weights:
 
-* :meth:`from_artifact` — shard a full in-memory artifact (dequantize
-  once, slice the float weights);
-* :meth:`from_shard_set` — assemble from per-device sub-artifacts
+* :meth:`from_artifact` — dequantize a full in-memory artifact once;
+* :meth:`from_shard_set` — reassemble from per-device sub-artifacts
   (e.g. ``load_sharded_artifact``), each shard dequantizing only its
-  own sliced packed image.  Both paths produce bit-identical weights
-  (see :mod:`repro.shard.partition`).
+  own sliced packed image.  Slicing and elementwise dequant commute
+  (see :mod:`repro.shard.partition`), so both paths produce
+  bit-identical weights.
 
-The prompt-prefix cache is **disabled** on sharded engines:
-:class:`~repro.serve.prefix.PrefixKVCache` snapshots are whole-model
-:class:`~repro.models.transformer.KVCache` objects, while a sharded
-sequence keeps one cache per (stage, rank) — adopting a snapshot
-would need a head-sliced re-partition of quantized KV blocks, which
-does not round-trip exactly.  The gate is explicit and tested rather
-than silently dropping to a cold prefill.
+The prompt-prefix cache is **disabled** on sharded engines: a
+deployed mesh keeps one KV cache per (stage, rank), and adopting a
+whole-model :class:`~repro.serve.prefix.PrefixKVCache` snapshot there
+would need a head-sliced re-partition of quantized KV blocks.  The
+gate is explicit and tested rather than silently dropping to a cold
+prefill.
 """
 
 from __future__ import annotations
@@ -34,20 +33,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.hw.multichip import LinkSpec
 from repro.models.zoo import get_model_config
 from repro.quant.kv import KVQuantConfig
+from repro.quant.packing import unpack_tensor
 from repro.serve.artifact import ModelArtifact
 from repro.serve.engine import InferenceEngine
 from repro.shard.collective import Collective
 from repro.shard.errors import ShardError, ShardTopologyError
-from repro.shard.mesh import DeviceMesh
+from repro.shard.mesh import DeviceMesh, partition_specs
 from repro.shard.model import ShardedCausalLM, check_kv_quant
-from repro.shard.partition import shard_weights
-
-try:  # LinkSpec lives with the interconnect model
-    from repro.hw.multichip import LinkSpec
-except ImportError:  # pragma: no cover
-    LinkSpec = None  # type: ignore
 
 __all__ = ["ShardedEngine", "PREFIX_CACHE_UNSUPPORTED"]
 
@@ -98,23 +93,17 @@ class ShardedEngine(InferenceEngine):
         artifact: ModelArtifact,
         mesh: DeviceMesh,
         seed: int = 0,
-        link=None,
+        link: Optional[LinkSpec] = None,
         prefix_cache=None,
     ) -> "ShardedEngine":
-        """Dequantize ``artifact`` once and slice the float weights.
-
-        The resulting per-shard weights are bit-identical to
-        dequantizing per-shard sliced packed images
-        (:meth:`from_shard_set`) — slicing and elementwise dequant
-        commute.
-        """
+        """Dequantize ``artifact`` once and serve it over ``mesh``."""
         check_kv_quant(artifact.kv_quant)
-        cfg = get_model_config(artifact.model_name)
-        full = artifact.instantiate()
-        grid = shard_weights(full.weights, cfg, mesh)
-        collective = cls._collective(mesh, link)
         model = ShardedCausalLM(
-            cfg, mesh, grid, collective=collective, seed=artifact.seed
+            get_model_config(artifact.model_name),
+            mesh,
+            artifact.instantiate().weights,
+            collective=Collective(mesh, link or LinkSpec()),
+            seed=artifact.seed,
         )
         return cls(
             model,
@@ -129,14 +118,17 @@ class ShardedEngine(InferenceEngine):
         cls,
         shards: Sequence[ModelArtifact],
         seed: int = 0,
-        link=None,
+        link: Optional[LinkSpec] = None,
     ) -> "ShardedEngine":
         """Assemble an engine from a validated per-device shard set.
 
         ``shards`` must be a complete set in shard-index order with
         matching mesh digests (the shape ``load_sharded_artifact``
-        returns); each shard's packed tensors dequantize through its
-        own per-tensor config.
+        returns).  Each shard's packed tensors dequantize through its
+        own per-tensor config; the full weights are then reassembled —
+        replicated tensors from rank 0, ``split_out`` slices
+        concatenated on axis 0, ``split_in`` slices on axis 1 — bit
+        identical to dequantizing the unsharded artifact.
         """
         if not shards:
             raise ShardTopologyError("empty shard set")
@@ -162,25 +154,28 @@ class ShardedEngine(InferenceEngine):
         first = shards[0]
         check_kv_quant(first.kv_quant)
         cfg = get_model_config(first.model_name)
-        grid: List[List[Dict[str, np.ndarray]]] = [
-            [None] * mesh.tp for _ in range(mesh.pp)
-        ]
+        # Stage-major, rank-minor: each tensor's slices arrive in rank order.
+        parts: Dict[str, List[np.ndarray]] = {}
         for art in shards:
-            h = art.shard_header
-            weights = {k: v.copy() for k, v in art.raw_weights.items()}
+            for name, w in art.raw_weights.items():
+                parts.setdefault(name, []).append(w)
             for name, p in art.packed.items():
-                from repro.quant.packing import unpack_tensor
-
-                weights[name] = unpack_tensor(p, art.tensor_config(name))
-            grid[h["stage"]][h["tp_rank"]] = weights
-        collective = cls._collective(mesh, link)
+                parts.setdefault(name, []).append(
+                    unpack_tensor(p, art.tensor_config(name))
+                )
+        specs = partition_specs(cfg, mesh)
+        weights = {}
+        for name, ws in parts.items():
+            kind = specs[name].kind
+            if kind == "replicate" or mesh.tp == 1:
+                weights[name] = ws[0].copy()
+            else:
+                weights[name] = np.concatenate(ws, axis=0 if kind == "split_out" else 1)
         model = ShardedCausalLM(
-            cfg, mesh, grid, collective=collective, seed=first.seed
+            cfg,
+            mesh,
+            weights,
+            collective=Collective(mesh, link or LinkSpec()),
+            seed=first.seed,
         )
         return cls(model, kv_quant=first.kv_quant, seed=seed, artifact=None)
-
-    @staticmethod
-    def _collective(mesh: DeviceMesh, link) -> Collective:
-        if link is None:
-            return Collective(mesh)
-        return Collective(mesh, link=link)

@@ -1,24 +1,25 @@
 """Device meshes and named sharding specs.
 
 A :class:`DeviceMesh` is the declarative shape of a multi-device
-deployment: ``tp`` tensor-parallel shards x ``pp`` pipeline stages,
-an interconnect ``topology`` (priced by :mod:`repro.hw.multichip`),
-and the collective ``reduce`` mode:
+deployment: ``tp`` tensor-parallel shards x ``pp`` pipeline stages
+(contiguous layer ranges, split by
+:func:`repro.hw.multichip.stage_layer_counts`), an interconnect
+``topology`` (priced by :mod:`repro.hw.multichip`), and the collective
+``reduce`` mode:
 
-* ``"gather"`` (default) — row-parallel projections keep their full
-  contraction dimension and exchange *activations* (all-gather of the
-  exact per-shard columns), so every GEMM contracts over the same
-  operands as the single-device pass and the logits are **byte
+* ``"gather"`` (default) — row-parallel weights slice by *output*
+  rows, so every projection contracts over its full K dimension
+  exactly as the single-device pass does and the logits are **byte
   identical** to it.
 * ``"sum"`` — the classic Megatron schedule: row-parallel weights are
-  K-sliced and partial sums are all-reduced in fixed shard order.
+  K-sliced and partial sums are added in fixed shard order.
   Deterministic and token-stream identical, but float addition is not
   associative, so logits may differ from the single-device pass by a
   few ULP.
 
-Both modes move the same interconnect volume per layer; the mesh is
-part of the artifact digest, so shard sets packed under one mode
-cannot be silently loaded under the other.
+Both modes are charged the same interconnect volume per layer; the
+mesh is part of the artifact digest, so shard sets packed under one
+mode cannot be silently loaded under the other.
 
 :class:`ShardSpec` names how one weight tensor splits across the
 ``tp`` axis — the ``PartitionSpec`` idea from the jax_llama exemplar,
@@ -29,9 +30,10 @@ output channels, split input columns).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
-from repro.hw.multichip import TOPOLOGIES
+from repro.hw.multichip import TOPOLOGIES, stage_layer_counts
 from repro.models.config import ModelConfig
 from repro.shard.errors import ShardError
 
@@ -114,13 +116,8 @@ class DeviceMesh:
                 pp=self.pp,
                 n_layers=n_layers,
             )
-        base, extra = divmod(n_layers, self.pp)
-        ranges, start = [], 0
-        for s in range(self.pp):
-            stop = start + base + (1 if s < extra else 0)
-            ranges.append((start, stop))
-            start = stop
-        return ranges
+        bounds = list(accumulate(stage_layer_counts(n_layers, self.pp), initial=0))
+        return list(zip(bounds, bounds[1:]))
 
     def stage_of(self, layer: int, n_layers: int) -> int:
         for s, (a, b) in enumerate(self.layer_ranges(n_layers)):

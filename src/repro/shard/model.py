@@ -1,63 +1,40 @@
 """Tensor/pipeline-parallel causal LM over a device mesh.
 
-:class:`ShardedCausalLM` runs the same math as
-:class:`~repro.models.transformer.CausalLM` with every weight split
-per :func:`~repro.shard.mesh.partition_specs` — an SPMD program
-unrolled in-process: one weight dict per (stage, tp-rank), explicit
-per-rank compute, and every cross-rank movement through the
-:class:`~repro.shard.collective.Collective` layer.
+:class:`ShardedCausalLM` *is* a :class:`~repro.models.transformer.CausalLM`
+holding the full weights, a :class:`~repro.shard.mesh.DeviceMesh` and a
+:class:`~repro.shard.collective.Collective` ledger.  It has no forward
+pass of its own; it overrides two methods:
 
-Why the default mode is byte-exact — the accumulation-order spec:
-column-parallel projections are *evaluated jointly*: the per-rank
-weight row-blocks are concatenated back (bit-identical to the full
-weight, since the partitioner slices contiguous rows) and pushed
-through ONE GEMM whose shape equals the single-device one, then split
-into per-rank column blocks.  This matters because BLAS picks its
-blocking — and therefore its K-accumulation order — from the matrix
-shape: a per-rank GEMM of width ``N/tp`` can round differently than
-the width-``N`` original (empirically it does below width 128), while
-the fused evaluation is the *same* GEMM as single-device, so its
-output slices are byte-exact by construction.  Per-rank attention
-stays genuinely per-rank: head-batched matmuls keep every per-head
-GEMM shape unchanged, so slicing the head axis never changes an
-accumulation order.  Under ``reduce="gather"`` row-parallel
-projections all-gather their exact input columns and contract over
-the full K the same way — logits match byte for byte.  Under
-``reduce="sum"`` the row-parallel weights are K-sliced per rank and
-partial sums are all-reduced in fixed rank order: deterministic,
-token-stream identical, logits within a few ULP.
+* ``_linear`` — under ``reduce="sum"`` the row-parallel projections
+  (``o_proj``, ``down_proj``/``fc2``) contract per-rank contiguous
+  K-slices and add the partial sums in rank order (Megatron-LM's
+  split-K schedule with a pinned accumulation order: deterministic,
+  token-identical, logits within a few ULP).  Every other projection,
+  and every projection under the default ``reduce="gather"``, is the
+  single-device GEMM — so gather-mode logits are byte-identical to
+  single-device by construction.
+* ``logits`` — runs the forward, then charges one pass of the mesh's
+  collectives (:func:`repro.hw.multichip.pass_collectives`) to the
+  ledger, the same list the multi-chip simulator prices.
 
-Per-shard KV caches hold each rank's local heads.  KV-cache
-quantization composes only when it is per-head (head slicing then
-commutes with the scale computation); ``per_head=False`` computes a
-global min/max over all heads and is rejected with a structured
-:class:`~repro.shard.errors.ShardError`.
+The KV cache is the ordinary whole-model :class:`KVCache`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.models.config import ModelConfig
-from repro.models.layers import (
-    apply_rope,
-    causal_attention,
-    gelu,
-    layer_norm,
-    linear,
-    rms_norm,
-    rope_cache,
-    silu,
-)
-from repro.models.transformer import KVCache, _LN_FAMILIES
+from repro.models.layers import linear
+from repro.models.transformer import CausalLM, KVCache
 from repro.quant.kv import KVQuantConfig
 from repro.shard.collective import Collective
 from repro.shard.errors import ShardError
-from repro.shard.mesh import DeviceMesh
+from repro.shard.mesh import _ROW_PARALLEL, DeviceMesh
 
-__all__ = ["ShardedCausalLM", "ShardedKVCache", "check_kv_quant"]
+__all__ = ["ShardedCausalLM", "check_kv_quant"]
 
 
 def check_kv_quant(kv_quant: Optional[KVQuantConfig]) -> None:
@@ -65,8 +42,8 @@ def check_kv_quant(kv_quant: Optional[KVQuantConfig]) -> None:
 
     Per-head scales commute with head partitioning (each head's
     min/max sees the same values on its owning shard as on a single
-    device); a per-tensor scale couples all heads and would make the
-    sharded cache diverge from the single-device one.
+    device); a per-tensor scale couples all heads and would make a
+    head-partitioned cache diverge from the single-device one.
     """
     if kv_quant is not None and not kv_quant.per_head:
         raise ShardError(
@@ -77,273 +54,40 @@ def check_kv_quant(kv_quant: Optional[KVQuantConfig]) -> None:
         )
 
 
-class ShardedKVCache:
-    """A grid of per-device :class:`KVCache` objects.
-
-    ``caches[stage][rank]`` holds the local layers x local KV heads of
-    that device.  Layer indices inside each stage cache are local
-    (0-based within the stage's range).
-    """
-
-    def __init__(
-        self,
-        mesh: DeviceMesh,
-        layer_counts: List[int],
-        quant: Optional[KVQuantConfig] = None,
-    ):
-        check_kv_quant(quant)
-        self.mesh = mesh
-        self.quant = quant
-        self.caches: List[List[KVCache]] = [
-            [KVCache(n, quant=quant) for _ in range(mesh.tp)]
-            for n in layer_counts
-        ]
-
-    @property
-    def seq_len(self) -> int:
-        return self.caches[0][0].seq_len
-
-    @property
-    def memory_bytes(self) -> int:
-        return sum(c.memory_bytes for row in self.caches for c in row)
-
-
-class ShardedCausalLM:
-    """The sharded twin of :class:`~repro.models.transformer.CausalLM`."""
+class ShardedCausalLM(CausalLM):
+    """A :class:`CausalLM` served over a ``tp x pp`` mesh."""
 
     def __init__(
         self,
         config: ModelConfig,
         mesh: DeviceMesh,
-        shards: List[List[Dict[str, np.ndarray]]],
+        weights: Dict[str, np.ndarray],
         collective: Optional[Collective] = None,
         seed: int = 0,
     ):
         mesh.validate_model(config)
-        if len(shards) != mesh.pp or any(len(row) != mesh.tp for row in shards):
-            raise ShardError(
-                f"weight grid is {len(shards)}x"
-                f"{len(shards[0]) if shards else 0}, mesh is "
-                f"{mesh.pp}x{mesh.tp} (stages x ranks)",
-                pp=mesh.pp,
-                tp=mesh.tp,
-            )
-        self.config = config
+        super().__init__(config, seed=seed, weights=weights)
         self.mesh = mesh
-        self.shards = shards
         self.collective = collective if collective is not None else Collective(mesh)
-        self.seed = seed
-        self._use_layernorm = config.family in _LN_FAMILIES
-        self._use_rope = config.family != "opt"
-        self._rope = None
-        self._ranges = mesh.layer_ranges(config.sim_layers)
-        #: Concatenated per-rank weight blocks, keyed (stage, name) —
-        #: the operand of the fused (shape-preserving) rank GEMMs.
-        self._fused: Dict[Tuple[int, str], np.ndarray] = {}
 
-    # ------------------------------------------------------------------
-    def _w(self, stage: int, rank: int, name: str) -> np.ndarray:
-        try:
-            return self.shards[stage][rank][name]
-        except KeyError:
-            raise ShardError(
-                f"stage {stage} rank {rank} is missing tensor {name!r}",
-                stage=stage,
-                rank=rank,
-                tensor=name,
-            ) from None
-
-    def _fused_w(self, stage: int, name: str) -> np.ndarray:
-        """The per-rank row-blocks of ``name`` concatenated in rank
-        order — bit-identical to the unsharded weight, so the fused
-        GEMM runs at the single-device shape (see module docstring)."""
-        key = (stage, name)
-        w = self._fused.get(key)
-        if w is None:
-            if self.mesh.tp == 1:
-                w = self._w(stage, 0, name)
-            else:
-                w = np.concatenate(
-                    [self._w(stage, r, name) for r in range(self.mesh.tp)],
-                    axis=0,
-                )
-            self._fused[key] = w
-        return w
-
-    def _norm(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        if self._use_layernorm:
-            return layer_norm(x, gain)
-        return rms_norm(x, gain)
-
-    def _positions(self, seq: int, hidden: int) -> np.ndarray:
-        # Identical to CausalLM._positions — the OPT sinusoidal stand-in.
-        pos = np.arange(seq)[:, None]
-        dim = np.arange(hidden // 2)[None, :]
-        angle = pos / 10000 ** (2 * dim / hidden)
-        out = np.zeros((seq, hidden))
-        out[:, 0::2] = np.sin(angle)
-        out[:, 1::2] = np.cos(angle)
-        return 0.02 * out
-
-    def fresh_cache(self, kv_quant: Optional[KVQuantConfig] = None) -> ShardedKVCache:
-        return ShardedKVCache(
-            self.mesh, [hi - lo for lo, hi in self._ranges], quant=kv_quant
-        )
-
-    # ------------------------------------------------------------------
-    def _attention(
-        self,
-        stage: int,
-        local_layer: int,
-        xn: np.ndarray,
-        prefix: str,
-        cos,
-        sin,
-        past: int,
-        cache: Optional[ShardedKVCache],
-        batch: int,
-        seq: int,
-    ) -> np.ndarray:
-        cfg, mesh = self.config, self.mesh
-        tp = mesh.tp
-        heads, kv_heads = cfg.sim_heads // tp, cfg.sim_kv_heads // tp
-        hd = cfg.sim_head_dim()
-        # Fused QKV projections (single-device GEMM shapes), split into
-        # per-rank head blocks; column-parallel, so no collective.
-        qs = np.split(linear(xn, self._fused_w(stage, prefix + "q_proj")), tp, axis=-1)
-        ks = np.split(linear(xn, self._fused_w(stage, prefix + "k_proj")), tp, axis=-1)
-        vs = np.split(linear(xn, self._fused_w(stage, prefix + "v_proj")), tp, axis=-1)
-        parts: List[np.ndarray] = []
-        for rank in range(tp):
-            q, k, v = qs[rank], ks[rank], vs[rank]
-            q = q.reshape(batch, seq, heads, hd).transpose(0, 2, 1, 3)
-            k = k.reshape(batch, seq, kv_heads, hd).transpose(0, 2, 1, 3)
-            v = v.reshape(batch, seq, kv_heads, hd).transpose(0, 2, 1, 3)
-            if self._use_rope:
-                q = apply_rope(q, cos, sin)
-                k = apply_rope(k, cos, sin)
-            if cache is not None:
-                k, v = cache.caches[stage][rank].append(local_layer, k, v)
-            if kv_heads != heads:
-                rep = heads // kv_heads
-                k = np.repeat(k, rep, axis=1)
-                v = np.repeat(v, rep, axis=1)
-            attn = causal_attention(q, k, v, past_len=past)
-            parts.append(attn.transpose(0, 2, 1, 3).reshape(batch, seq, -1))
-        return self._row_parallel(stage, prefix + "o_proj", parts)
-
-    def _row_parallel(
-        self, stage: int, name: str, parts: List[np.ndarray]
-    ) -> np.ndarray:
-        """Project per-rank column blocks through a row-parallel weight."""
-        mesh, coll = self.mesh, self.collective
-        if mesh.tp == 1:
-            return linear(parts[0], self._w(stage, 0, name))
-        if mesh.reduce == "gather":
-            full = coll.all_gather(parts, axis=-1, stage=stage)
-            out = linear(full, self._fused_w(stage, name))
-            return coll.all_gather(
-                list(np.split(out, mesh.tp, axis=-1)), axis=-1, stage=stage
-            )
-        outs = [
-            linear(parts[r], self._w(stage, r, name)) for r in range(mesh.tp)
-        ]
-        return coll.all_reduce(outs, stage=stage)
-
-    def _mlp(self, stage: int, xn: np.ndarray, prefix: str) -> np.ndarray:
-        cfg, tp = self.config, self.mesh.tp
-        if cfg.gated_mlp:
-            gate = silu(linear(xn, self._fused_w(stage, prefix + "gate_proj")))
-            up = linear(xn, self._fused_w(stage, prefix + "up_proj"))
-            # Elementwise, so the per-rank column blocks of the fused
-            # product equal each rank's locally computed activation.
-            parts = list(np.split(gate * up, tp, axis=-1))
-            return self._row_parallel(stage, prefix + "down_proj", parts)
-        inner = gelu(linear(xn, self._fused_w(stage, prefix + "fc1")))
-        parts = list(np.split(inner, tp, axis=-1))
-        return self._row_parallel(stage, prefix + "fc2", parts)
-
-    # ------------------------------------------------------------------
-    def hidden_states(
-        self, tokens: np.ndarray, cache: Optional[ShardedKVCache] = None
-    ) -> np.ndarray:
-        cfg, mesh = self.config, self.mesh
-        tokens = np.asarray(tokens)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        batch, seq = tokens.shape
-        h = cfg.sim_hidden
-        head_dim = cfg.sim_head_dim()
-        past = cache.seq_len if cache is not None else 0
-        total = past + seq
-
-        x = self._w(0, 0, "embed")[tokens] * np.sqrt(h)
-        if not self._use_rope:
-            x = x + self._positions(total, h)[None, past:]
-
-        cos = sin = None
-        if self._use_rope:
-            if self._rope is None or self._rope[0].shape[0] < total:
-                grown = (
-                    total
-                    if self._rope is None
-                    else max(total, 2 * self._rope[0].shape[0])
-                )
-                self._rope = rope_cache(grown, head_dim)
-            cos, sin = self._rope[0][past:total], self._rope[1][past:total]
-
-        for stage, (lo, hi) in enumerate(self._ranges):
-            if stage > 0:
-                x = self.collective.send(x, src_stage=stage - 1, dst_stage=stage)
-            for layer in range(lo, hi):
-                prefix = f"layers.{layer}."
-                xn = self._norm(x, self._w(stage, 0, prefix + "attn_norm"))
-                x = x + self._attention(
-                    stage, layer - lo, xn, prefix, cos, sin, past, cache,
-                    batch, seq,
-                )
-                xn = self._norm(x, self._w(stage, 0, prefix + "mlp_norm"))
-                x = x + self._mlp(stage, xn, prefix)
-
-        last = mesh.pp - 1
-        return self._norm(x, self._w(last, 0, "final_norm"))
+    def _linear(self, x: np.ndarray, name: str) -> np.ndarray:
+        tp = self.mesh.tp
+        if (
+            self.mesh.reduce != "sum"
+            or tp == 1
+            or name.rsplit(".", 1)[-1] not in _ROW_PARALLEL
+        ):
+            return super()._linear(x, name)
+        w = self.weights[name]
+        k = w.shape[1] // tp
+        out = linear(x[..., :k], w[:, :k])
+        for r in range(1, tp):  # rank order: the accumulation spec
+            out += linear(x[..., r * k:(r + 1) * k], w[:, r * k:(r + 1) * k])
+        return out
 
     def logits(
-        self, tokens: np.ndarray, cache: Optional[ShardedKVCache] = None
+        self, tokens: np.ndarray, cache: Optional[KVCache] = None
     ) -> np.ndarray:
-        """Vocabulary logits ``(batch, seq, vocab)`` — vocab-parallel
-        LM head, logits all-gathered across ranks."""
-        x = self.hidden_states(tokens, cache=cache)
-        mesh = self.mesh
-        last = mesh.pp - 1
-        if mesh.tp == 1:
-            return linear(x, self._w(last, 0, "lm_head"))
-        out = linear(x, self._fused_w(last, "lm_head"))
-        return self.collective.all_gather(
-            list(np.split(out, mesh.tp, axis=-1)), axis=-1, stage=last
-        )
-
-    # ------------------------------------------------------------------
-    # Stateful serving path (mirrors CausalLM).
-    # ------------------------------------------------------------------
-    def prefill(
-        self,
-        tokens: np.ndarray,
-        kv_quant: Optional[KVQuantConfig] = None,
-    ) -> Tuple[np.ndarray, ShardedKVCache]:
-        cache = self.fresh_cache(kv_quant)
-        return self.logits(tokens, cache=cache), cache
-
-    def decode_step(
-        self, tokens: np.ndarray, cache: ShardedKVCache
-    ) -> np.ndarray:
-        tokens = np.asarray(tokens)
-        if tokens.ndim == 0:
-            tokens = tokens[None]
-        if tokens.ndim == 1:
-            tokens = tokens[:, None]
-        if tokens.shape[1] != 1:
-            raise ValueError(
-                "decode_step consumes exactly one new token per sequence"
-            )
-        return self.logits(tokens, cache=cache)[:, -1]
+        out = super().logits(tokens, cache=cache)
+        self.collective.charge_pass(self.config, out.shape[0] * out.shape[1])
+        return out

@@ -1,14 +1,11 @@
-"""Exact partitioning of weights and packed artifacts over a mesh.
+"""Exact partitioning of packed artifacts over a mesh.
 
-Two paths produce a shard's weights, and they must agree bit for bit:
-
-* :func:`shard_weights` slices the *dequantized* float tensors — the
-  fast in-memory path :class:`~repro.shard.engine.ShardedEngine` uses
-  when it already holds the full artifact;
-* :func:`slice_packed` slices the *bit-packed DRAM image* itself, so
-  :func:`shard_artifact` can emit per-shard sub-artifacts whose blobs
-  round-trip through :mod:`repro.serve.artifact` and dequantize to
-  exactly the same values.
+:func:`slice_packed` slices the *bit-packed DRAM image* itself, so
+:func:`shard_artifact` can emit per-shard sub-artifacts whose blobs
+round-trip through :mod:`repro.serve.artifact` and dequantize to
+exactly the values of the matching slice of the full tensor —
+:meth:`~repro.shard.engine.ShardedEngine.from_shard_set` reassembles
+the full weights from them bit for bit.
 
 Slicing a :class:`~repro.quant.packing.PackedTensor` is exact because
 dequantization is elementwise with per-row scales: an output-channel
@@ -22,7 +19,7 @@ boundaries unevenly raise :class:`~repro.shard.errors.ShardError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -31,7 +28,7 @@ from repro.quant.packing import PackedTensor, pack_bits, unpack_bits
 from repro.shard.errors import ShardError
 from repro.shard.mesh import DeviceMesh, ShardSpec, partition_specs
 
-__all__ = ["slice_packed", "shard_weights", "shard_artifact"]
+__all__ = ["slice_packed", "shard_artifact"]
 
 
 def _group_arrays(p: PackedTensor):
@@ -186,42 +183,6 @@ def _slice_array(
     dim = 0 if spec.kind == "split_out" else 1
     a, b = spec.slice_bounds(w.shape[dim], rank, tp)
     return np.ascontiguousarray(w[a:b] if dim == 0 else w[:, a:b])
-
-
-def shard_weights(
-    weights: Dict[str, np.ndarray], cfg: ModelConfig, mesh: DeviceMesh
-) -> List[List[Dict[str, np.ndarray]]]:
-    """Per-device weight dicts, ``result[stage][tp_rank]``.
-
-    Stage 0 carries the embedding, the last stage ``final_norm`` and
-    ``lm_head``; each stage carries its contiguous layer range with
-    the tensor-parallel slices of :func:`partition_specs`.  Weight
-    names keep their global layer indices.
-    """
-    specs = partition_specs(cfg, mesh)
-    ranges = mesh.layer_ranges(cfg.sim_layers)
-    out: List[List[Dict[str, np.ndarray]]] = []
-    for stage, (lo, hi) in enumerate(ranges):
-        ranks: List[Dict[str, np.ndarray]] = []
-        for rank in range(mesh.tp):
-            shard: Dict[str, np.ndarray] = {}
-            for name, w in weights.items():
-                stage_names = _owning_stage(name, mesh, cfg)
-                if stage not in stage_names:
-                    continue
-                if name.startswith("layers."):
-                    layer = int(name.split(".")[1])
-                    if not (lo <= layer < hi):
-                        continue
-                spec = specs.get(name)
-                if spec is None:
-                    raise ShardError(
-                        f"no sharding spec for tensor {name!r}", tensor=name
-                    )
-                shard[name] = _slice_array(w, spec, rank, mesh.tp)
-            ranks.append(shard)
-        out.append(ranks)
-    return out
 
 
 def _owning_stage(name: str, mesh: DeviceMesh, cfg: ModelConfig) -> tuple:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.models.layers import rope_cache, sinusoidal_positions
 from repro.models.transformer import CausalLM
 from repro.models.zoo import get_model_config, list_models
 
@@ -105,3 +106,28 @@ class TestActivationQuantization:
         base = llama.logits(tokens)
         diff = np.abs(q.logits(tokens) - base).mean()
         assert 0 < diff < 0.1 * np.abs(base).mean()
+
+
+class TestPositionTables:
+    @pytest.mark.parametrize("name", ["opt-1.3b", "llama-2-7b"])
+    def test_grown_table_slices_equal_fresh(self, name):
+        """Growing with slack keeps every row bit-identical to a table
+        built fresh at the requested length."""
+        cfg = get_model_config(name)
+        model = CausalLM(cfg, seed=0)
+        for n in (1, 7, 8, 33, 100, 513, 1025):
+            grown = model._position_tables(n)
+            if cfg.family == "opt":
+                fresh = (sinusoidal_positions(n, cfg.sim_hidden),)
+            else:
+                fresh = rope_cache(n, cfg.sim_head_dim())
+            for g, f in zip(grown, fresh):
+                assert g.shape[0] >= n
+                assert g[:n].tobytes() == f.tobytes()
+
+    def test_decode_reuses_the_table(self):
+        model = CausalLM(get_model_config("opt-1.3b"), seed=0)
+        _, cache = model.prefill(np.arange(8))
+        table = model._position_tables(9)[0]
+        model.decode_step(np.array([3]), cache)
+        assert model._position_tables(10)[0] is table

@@ -1,5 +1,7 @@
 """Continuous-batching scheduler behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,35 @@ class TestScheduling:
         batcher.submit(_mk_request(0, prompt_len=6, max_new=2, t0=0.0))
         batcher.run_until_idle()
         assert 0 <= batcher.metrics.ttft.percentile(50) < 60.0
+
+
+class TestKVRelease:
+    def test_finished_request_drops_its_cache(self, engine):
+        batcher = ContinuousBatcher(engine, max_batch_tokens=32)
+        state = batcher.submit(_mk_request(0, prompt_len=8, max_new=3))
+        batcher.step()  # prefill
+        ref = weakref.ref(state.seq.cache)
+        batcher.run_until_idle()
+        assert batcher.finished(0) is state
+        assert ref() is None
+        with pytest.raises(RuntimeError, match="already prefilled"):
+            engine.prefill(state.seq)
+
+    def test_expired_request_drops_its_cache(self, engine):
+        clock = [0.0]
+        batcher = ContinuousBatcher(
+            engine, max_batch_tokens=32, clock=lambda: clock[0]
+        )
+        request = _mk_request(0, prompt_len=8, max_new=8)
+        request.deadline_s = 0.5
+        state = batcher.submit(request)
+        batcher.step()  # prefill; now running
+        ref = weakref.ref(state.seq.cache)
+        clock[0] = 1.0
+        assert batcher.step().expired == [0]
+        assert batcher.expired(0) is state
+        assert ref() is None
+        with pytest.raises(RuntimeError, match="already prefilled"):
+            engine.prefill(state.seq)
+        with pytest.raises(RuntimeError, match="released"):
+            engine.decode(state.seq)

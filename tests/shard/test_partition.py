@@ -1,4 +1,4 @@
-"""Exactness of packed-tensor slicing and float-weight partitioning.
+"""Exactness of packed-tensor slicing and shard-set reassembly.
 
 The invariant everything else rests on:
 ``unpack(slice_packed(p, dim, a, b)) == unpack(p)[slice]`` — bit for
@@ -13,7 +13,15 @@ from repro.models import get_model_config
 from repro.models.transformer import CausalLM
 from repro.quant.config import QuantConfig
 from repro.quant.packing import pack_tensor, unpack_tensor
-from repro.shard import DeviceMesh, ShardError, shard_weights, slice_packed
+from repro.serve.artifact import save_artifact
+from repro.shard import (
+    REDUCE_MODES,
+    DeviceMesh,
+    ShardedEngine,
+    ShardError,
+    shard_artifact,
+    slice_packed,
+)
 
 DTYPES = ["int4_sym", "int3_asym", "int5_asym", "bitmod_fp4", "bitmod_fp3", "fp4"]
 
@@ -88,37 +96,32 @@ class TestSlicePackedColumns:
             slice_packed(p, 2, 0, 8)
 
 
-class TestShardWeights:
-    @pytest.mark.parametrize("model", ["opt-1.3b", "llama-2-7b"])
-    def test_column_parallel_rows_concatenate_back(self, model):
-        """tp slices of every split tensor reassemble the original."""
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """model name -> a packed artifact, built once for the module."""
+    out = {}
+    for model, dtype in [("opt-1.3b", "int3_asym"), ("llama-2-7b", "bitmod_fp4")]:
+        d = tmp_path_factory.mktemp(model)
         cfg = get_model_config(model)
-        m = CausalLM(cfg, seed=0)
-        mesh = DeviceMesh(tp=4)
-        grid = shard_weights(m.weights, cfg, mesh)
-        assert len(grid) == 1 and len(grid[0]) == 4
-        for name, w in m.weights.items():
-            parts = [grid[0][r][name] for r in range(4)]
-            if parts[0].shape == w.shape:  # replicated
-                for p in parts:
-                    np.testing.assert_array_equal(p, w)
-            else:
-                np.testing.assert_array_equal(np.concatenate(parts, axis=0), w)
+        out[model] = save_artifact(
+            d / "a.rpro", CausalLM(cfg, seed=0), QuantConfig(dtype=dtype)
+        )
+    return out
 
-    def test_pipeline_stages_partition_layers(self):
-        cfg = get_model_config("opt-1.3b")  # 4 sim layers
-        m = CausalLM(cfg, seed=0)
-        grid = shard_weights(m.weights, cfg, DeviceMesh(pp=2))
-        stage0, stage1 = grid[0][0], grid[1][0]
-        assert "embed" in stage0 and "embed" not in stage1
-        assert "lm_head" in stage1 and "lm_head" not in stage0
-        assert "layers.0.q_proj" in stage0 and "layers.0.q_proj" not in stage1
-        assert "layers.3.q_proj" in stage1 and "layers.3.q_proj" not in stage0
 
-    def test_sum_mode_slices_contraction_dim(self):
-        cfg = get_model_config("llama-2-7b")
-        m = CausalLM(cfg, seed=0)
-        grid = shard_weights(m.weights, cfg, DeviceMesh(tp=2, reduce="sum"))
-        w = m.weights["layers.0.down_proj"]
-        parts = [grid[0][r]["layers.0.down_proj"] for r in range(2)]
-        np.testing.assert_array_equal(np.concatenate(parts, axis=1), w)
+class TestShardSetReassembly:
+    @pytest.mark.parametrize("model", ["opt-1.3b", "llama-2-7b"])
+    @pytest.mark.parametrize("reduce", REDUCE_MODES)
+    @pytest.mark.parametrize("tp,pp", [(2, 1), (2, 2)], ids=["tp2", "tp2pp2"])
+    def test_from_shard_set_weights_bit_identical(
+        self, artifacts, model, reduce, tp, pp
+    ):
+        """Reassembled shard-set weights == the unsharded dequant, bit for bit."""
+        art = artifacts[model]
+        mesh = DeviceMesh(tp=tp, pp=pp, reduce=reduce)
+        got = ShardedEngine.from_shard_set(shard_artifact(art, mesh)).model.weights
+        want = art.instantiate().weights
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            assert got[name].dtype == w.dtype and got[name].shape == w.shape, name
+            assert got[name].tobytes() == w.tobytes(), name
