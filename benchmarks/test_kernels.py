@@ -1,14 +1,12 @@
 """Micro-benchmarks of the core kernels.
 
 These time the library's hot paths — Algorithm 1 quantization, the
-GPTQ inner loop, Booth/LOD encoding, the bit-accurate PE, the
-multi-backend functional GEMM and its autotuner — giving the
-performance baseline a user of the library would care about.
-Measured numbers are persisted to ``BENCH_kernels.json`` (same
-convention as ``BENCH_serve.json``) so the performance trajectory is
-tracked PR over PR; kernel measurements record the backend name,
-thread count and tuned tile that produced them (older records without
-those keys still load).
+GPTQ inner loop, Booth/LOD encoding, the bit-accurate PE and the
+multi-backend functional GEMM — giving the performance baseline a
+user of the library would care about.  Measured numbers are persisted
+to ``BENCH_kernels.json`` (same convention as ``BENCH_serve.json``) so
+the performance trajectory is tracked over time; kernel measurements
+record the backend name that produced them.
 
 Set ``BENCH_QUICK=1`` to shrink the heavy fixtures (the CI quick-mode
 job uses this; numbers are flagged ``quick_mode`` in the JSON).
@@ -192,14 +190,14 @@ def test_functional_gemm_tile():
     agreement on the slice, and requires the >=10x speedup the
     vectorized kernel layer was built for.  The JSON record keeps the
     original keys (``vectorized_s`` is the dispatched engine's time)
-    and adds the backend name, thread count and tile that ran.
+    and adds the backend name that ran.
     """
     from repro.kernels.dispatch import get_dispatcher
 
     k = 128 if _QUICK else 512
     k_ref = max(k // 8, 16)
     gemm, task, x, w = _acceptance_task(k)
-    backend, tile = get_dispatcher().resolve(task)
+    backend = get_dispatcher().resolve(task)
 
     vec_s, vec = _timeit(
         gemm.run_packed, x, task.packed, repeat=1 if _QUICK else 2
@@ -226,8 +224,6 @@ def test_functional_gemm_tile():
         pe_cycles=int(vec.pe_cycles),
         outputs_per_s=8 * k / vec_s,
         backend=backend.name,
-        threads=None if tile is None else tile.threads,
-        tile=None if tile is None else tile.to_dict(),
     )
     # Quick mode (CI shared runners) records but does not gate on the
     # one-shot wall-clock ratio; the full run asserts the 10x target
@@ -237,33 +233,23 @@ def test_functional_gemm_tile():
 
 
 def test_kernel_backend_matrix():
-    """Acceptance: every runnable backend on the (8x512)x(512x512)
-    bitmod_fp4 GEMM, warm-tuned; all outputs bit-identical; the
-    fastest must beat the numpy vectorized backend by >=4x.
+    """Acceptance: every non-reference backend on the (8x512)x(512x512)
+    bitmod_fp4 GEMM; all outputs bit-identical; the fastest must beat
+    the numpy vectorized backend by >=4x.
     """
-    from repro.kernels import Autotuner, TileSpec, available_backends, get_backend
+    from repro.kernels import get_backend, list_backends
 
     k = 128 if _QUICK else 512
     _gemm, task, _x, _w = _acceptance_task(k)
 
-    # Warm-tune: one search (memoized in the store), then replayed.
-    tuner = Autotuner(repeats=1 if _QUICK else 2)
-    rec = tuner.decide(task)
-
     timings = {}
     reference_out = None
-    for name in available_backends():
+    for name in list_backends():
         backend = get_backend(name)
         if name == "reference" or backend.supports(task) is not None:
             continue
-        if rec is not None and rec["backend"] == name:
-            tile = TileSpec.from_dict(rec["tile"])
-        else:
-            tile = backend.default_tile(task)
-        backend.run(task, tile)  # warm: per-tensor prep, JIT
-        seconds, out = _timeit(
-            backend.run, task, tile, repeat=1 if _QUICK else 3
-        )
+        backend.run(task)  # warm: per-tensor prep
+        seconds, out = _timeit(backend.run, task, repeat=1 if _QUICK else 3)
         if reference_out is None:
             reference_out = out
         else:
@@ -274,8 +260,6 @@ def test_kernel_backend_matrix():
             f"gemm_backend_{name}",
             m=8, d=512, k=k, dtype="bitmod_fp4",
             backend=name,
-            threads=tile.threads,
-            tile=tile.to_dict(),
             seconds=seconds,
             outputs_per_s=8 * k / seconds,
         )
@@ -283,61 +267,11 @@ def test_kernel_backend_matrix():
     assert "numpy" in timings
     best = min(timings, key=timings.get)
     speedup = timings["numpy"] / timings[best]
-    _record(
-        "gemm_backend_best",
-        backend=best,
-        speedup_vs_numpy=speedup,
-        tuned_backend=None if rec is None else rec["backend"],
-        tuned_tile=None if rec is None else rec["tile"],
-    )
+    _record("gemm_backend_best", backend=best, speedup_vs_numpy=speedup)
     if not _QUICK:
         assert speedup >= 4.0, (
             f"fastest backend {best!r} only {speedup:.1f}x over numpy"
         )
-
-
-def test_autotune_cold_then_warm(tmp_path):
-    """Cold search timings vs the warm memoized path (which must run
-    zero trials)."""
-    from repro.hw.pe import PEConfig
-    from repro.kernels import Autotuner
-    from repro.kernels.base import GemmTask
-    from repro.pipeline.store import CacheStore
-    from repro.quant.packing import pack_tensor
-
-    rng = np.random.default_rng(0)
-    cfg = QuantConfig(dtype="bitmod_fp4")
-    w = rng.standard_normal((16, 256))
-    x = rng.standard_normal((8, 256)).astype(np.float16)
-    task = GemmTask(
-        x=x, packed=pack_tensor(w, cfg),
-        dtype=cfg.resolve_dtype(), pe_config=PEConfig(),
-    )
-    store = CacheStore(root=tmp_path)
-
-    cold = Autotuner(store=store, repeats=1)
-    t0 = time.perf_counter()
-    rec = cold.decide(task)
-    cold_s = time.perf_counter() - t0
-    assert rec is not None and cold.trials_run > 0
-
-    warm = Autotuner(store=store, repeats=1)
-    t0 = time.perf_counter()
-    warm_rec = warm.decide(task)
-    warm_s = time.perf_counter() - t0
-    assert warm.trials_run == 0, "warm autotune path must skip the search"
-    assert warm_rec["backend"] == rec["backend"]
-
-    _record(
-        "autotune_cold_then_warm",
-        cold_s=cold_s,
-        warm_s=warm_s,
-        cold_trials=cold.trials_run,
-        warm_trials=warm.trials_run,
-        backend=rec["backend"],
-        tile=rec["tile"],
-        threads=rec["tile"]["threads"],
-    )
 
 
 def test_zz_write_results():

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
         metavar="NAME",
         default=None,
         help="pin the kernel backend for --functional-check "
-        "(reference/numpy/fused/numba; default: dispatcher's choice)",
+        "(reference/numpy/fused; default: dispatcher's choice)",
     )
     parser.add_argument(
         "--run-id",
@@ -206,6 +206,10 @@ def main(argv=None) -> int:
                 space = space.with_(quick=True)
         else:
             space = get_preset(args.preset, quick=args.quick or None)
+        if args.kernel_backend is not None:
+            from repro.kernels import get_backend
+
+            get_backend(args.kernel_backend)  # unknown names fail fast
     except (KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -293,13 +297,7 @@ def main(argv=None) -> int:
     if args.functional_check:
         from repro.dse.sweep import functional_check
 
-        try:
-            checks = functional_check(
-                result.points, backend=args.kernel_backend
-            )
-        except ValueError as e:  # unknown backend name
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        checks = functional_check(result.points, backend=args.kernel_backend)
         print()
         print("functional spot-check (bit-accurate kernel layer):")
         for row in checks:

@@ -324,7 +324,7 @@ def functional_check(
     The sweep itself is analytic (cycles and energy from the timing
     model) — this runs one small real GEMM per unique ``(dtype,
     granularity, group_size)`` among ``points`` through the kernel
-    dispatcher, reporting which backend/tile executed it and the max
+    dispatcher, reporting which backend executed it and the max
     absolute deviation from the ideal dequantized matmul.  Datatypes
     the PE rejects (asymmetric integers) are reported as skipped with
     the rejection reason rather than failing the sweep.
@@ -355,7 +355,6 @@ def functional_check(
                 "granularity": granularity,
                 "group_size": group_size,
                 "backend": None,
-                "tile": None,
                 "max_abs_err": None,
                 "skipped": None,
             }
@@ -364,7 +363,7 @@ def functional_check(
             gemm = FunctionalGemm(qc, backend=backend)
             try:
                 packed = pack_tensor(w, qc)
-                chosen, tile = get_dispatcher().resolve(
+                chosen = get_dispatcher().resolve(
                     gemm._task(gemm._validated_shapes(x, w.shape), packed),
                     backend=backend,
                 )
@@ -375,7 +374,6 @@ def functional_check(
                 continue
             ref = x.astype(np.float64) @ unpack_tensor(packed, qc).T
             row["backend"] = chosen.name
-            row["tile"] = None if tile is None else tile.to_dict()
             row["max_abs_err"] = float(np.max(np.abs(res.output - ref)))
             out.append(row)
     return out

@@ -13,9 +13,9 @@ kernel layer (:mod:`repro.kernels`): it validates inputs, packages
 them as a :class:`~repro.kernels.base.GemmTask`, and hands execution
 to the kernel dispatcher, which picks among the registered backends —
 ``reference`` (the original per-scalar engine, kept as ground truth),
-``numpy`` (PR 2's vectorized integer-exact engine), ``fused``
-(single-pass float32 tensor math) and ``numba`` (threaded JIT when
-numba is installed) — optionally guided by memoized autotune records.
+``numpy`` (the vectorized integer-exact engine, any PE width) and
+``fused`` (single-pass float32 tensor math, the default whenever it
+supports the task).
 Every backend is bit-identical to the scalar reference (outputs,
 cycle counts and group counts), which the registry-wide property
 tests in ``tests/hw`` enforce; backend choice changes speed, never

@@ -2,37 +2,29 @@
 
 The bit-accurate functional GEMM is a contract (outputs, cycle and
 group counts bit-identical to the scalar Fig. 6 datapath); this
-package holds the implementations of that contract and the machinery
-that picks between them:
+package holds the implementations of that contract and the rule that
+picks between them:
 
 * :mod:`repro.kernels.base` — :class:`GemmTask` /
   :class:`KernelBackend` interface and the backend registry;
 * :mod:`repro.kernels.reference` — the scalar ground truth;
-* :mod:`repro.kernels.vectorized` — PR 2's integer-exact numpy engine
-  (the universal fallback: any PE width);
+* :mod:`repro.kernels.vectorized` — the integer-exact ``numpy``
+  engine (the universal fallback: any PE width);
 * :mod:`repro.kernels.fused` — single-pass float32 tensor math
-  (~6x the numpy backend single-core; requires the default 24-bit
+  (~5x the numpy backend single-core; requires the default 24-bit
   accumulator, see the module docstring for the exactness proof);
-* :mod:`repro.kernels.numba_backend` — threaded JIT over the
-  word-packed layout when numba is installed, plain-Python (and
-  testable) when not;
 * :mod:`repro.kernels.cache` — the bounded LRU for per-tensor decoded
   term arrays and backend layouts (``$REPRO_KERNEL_CACHE_MB``);
-* :mod:`repro.kernels.autotune` — searches (backend, tile) per
-  (datatype, shape-class, granularity) and memoizes winners in the
-  content-addressed store under ``tune/``;
 * :mod:`repro.kernels.dispatch` — routes every
-  :meth:`~repro.hw.functional.FunctionalGemm.run_packed` call, honors
-  ``$REPRO_KERNEL_BACKEND`` / ``$REPRO_KERNEL_AUTOTUNE``, and warns
-  once when numba is missing.
+  :meth:`~repro.hw.functional.FunctionalGemm.run_packed` call: a
+  pinned backend (``backend=`` or ``$REPRO_KERNEL_BACKEND``) that
+  supports the task, else ``fused`` when it does, else ``numpy``.
 """
 
 from repro.kernels.base import (
     GemmExecution,
     GemmTask,
     KernelBackend,
-    TileSpec,
-    available_backends,
     get_backend,
     list_backends,
     register_backend,
@@ -43,26 +35,17 @@ from repro.kernels.cache import DecodeCache, decode_cache, reset_decode_cache
 from repro.kernels.reference import ReferenceBackend
 from repro.kernels.vectorized import VectorizedBackend
 from repro.kernels.fused import FusedBackend
-from repro.kernels.numba_backend import HAVE_NUMBA, NumbaBackend
-from repro.kernels.autotune import TUNE_KIND, TUNE_SCHEMA_VERSION, Autotuner, shape_class
 from repro.kernels.dispatch import KernelDispatcher, get_dispatcher, reset_dispatcher
 
 __all__ = [
-    "Autotuner",
     "DecodeCache",
     "FusedBackend",
     "GemmExecution",
     "GemmTask",
-    "HAVE_NUMBA",
     "KernelBackend",
     "KernelDispatcher",
-    "NumbaBackend",
     "ReferenceBackend",
-    "TileSpec",
-    "TUNE_KIND",
-    "TUNE_SCHEMA_VERSION",
     "VectorizedBackend",
-    "available_backends",
     "decode_cache",
     "get_backend",
     "get_dispatcher",
@@ -70,5 +53,4 @@ __all__ = [
     "register_backend",
     "reset_decode_cache",
     "reset_dispatcher",
-    "shape_class",
 ]

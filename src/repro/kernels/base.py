@@ -6,19 +6,13 @@ must produce the exact outputs, cycle counts and group counts of the
 scalar Fig. 6 datapath — and this module separates that contract from
 how it is computed.  A :class:`GemmTask` bundles one GEMM's inputs; a
 :class:`KernelBackend` executes it; the registry maps backend names to
-singleton instances so the dispatcher (:mod:`repro.kernels.dispatch`)
-and the autotuner (:mod:`repro.kernels.autotune`) can enumerate and
-rank them.
+singleton instances for the dispatcher (:mod:`repro.kernels.dispatch`).
 
-Backends self-describe in two dimensions:
-
-* :meth:`KernelBackend.available` — can this backend run at all in
-  the current process (e.g. the numba backend without numba installed
-  reports ``False`` and the dispatcher falls back);
-* :meth:`KernelBackend.supports` — can it run *this* task exactly
-  (e.g. the fused float32 backend requires the default 24-bit
-  accumulator; exotic :class:`~repro.hw.pe.PEConfig` widths fall back
-  to the numpy backend, which handles any width).
+Every backend runs in every process; :meth:`KernelBackend.supports`
+says whether it can run *this* task exactly (e.g. the fused float32
+backend requires the default 24-bit accumulator; exotic
+:class:`~repro.hw.pe.PEConfig` widths fall back to the numpy backend,
+which handles any width).
 
 Every registered backend is held to the registry-wide bit-identity
 property tests in ``tests/hw``: identical outputs, ``pe_cycles`` and
@@ -38,12 +32,10 @@ import numpy as np
 __all__ = [
     "GemmExecution",
     "GemmTask",
-    "TileSpec",
     "KernelBackend",
     "register_backend",
     "get_backend",
     "list_backends",
-    "available_backends",
 ]
 
 
@@ -54,31 +46,6 @@ class GemmExecution:
     output: np.ndarray  # (M, K_out)
     pe_cycles: int  # cycles of the longest-running PE
     groups_processed: int
-
-
-@dataclass(frozen=True)
-class TileSpec:
-    """A backend tuning point: blocking shape + thread count.
-
-    ``k_chunk`` is the number of output channels (weight rows) a
-    blocked backend processes per pass — the knob that trades working
-    set size against loop overhead.  ``0`` means "no blocking"
-    (backend default).  ``threads`` only matters to threaded backends;
-    single-threaded ones ignore it.
-    """
-
-    k_chunk: int = 0
-    threads: int = 1
-
-    def to_dict(self) -> dict:
-        return {"k_chunk": self.k_chunk, "threads": self.threads}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TileSpec":
-        return cls(
-            k_chunk=int(doc.get("k_chunk", 0)),
-            threads=int(doc.get("threads", 1)),
-        )
 
 
 @dataclass
@@ -134,35 +101,19 @@ class GemmTask:
 class KernelBackend:
     """One way of executing a :class:`GemmTask` bit-exactly.
 
-    Subclasses set ``name`` (the registry key, also what
-    ``$REPRO_KERNEL_BACKEND`` selects) and ``priority`` (higher wins
-    when the dispatcher picks a default without a tuned record).
+    Subclasses set ``name``: the registry key, also what
+    ``$REPRO_KERNEL_BACKEND`` selects.
     """
 
-    #: Registry key (``reference``, ``numpy``, ``fused``, ``numba``).
+    #: Registry key (``reference``, ``numpy``, ``fused``).
     name: str = "?"
-    #: Default-dispatch rank; the fastest expected backend is highest.
-    priority: int = 0
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether the backend can run in this process at all."""
-        return True
 
     def supports(self, task: GemmTask) -> Optional[str]:
         """``None`` when the backend can run ``task`` bit-exactly,
         else a human-readable reason (the dispatcher falls back)."""
         return None
 
-    def default_tile(self, task: GemmTask) -> TileSpec:
-        """The untuned tile this backend runs when no record exists."""
-        return TileSpec()
-
-    def candidate_tiles(self, task: GemmTask) -> List[TileSpec]:
-        """Tiles the autotuner should time for this backend."""
-        return [self.default_tile(task)]
-
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
+    def run(self, task: GemmTask) -> GemmExecution:
         raise NotImplementedError
 
 
@@ -189,10 +140,5 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def list_backends() -> List[str]:
-    """All registered backend names, highest priority first."""
-    return sorted(_REGISTRY, key=lambda n: -_REGISTRY[n].priority)
-
-
-def available_backends() -> List[str]:
-    """Registered backends that can run in this process, best first."""
-    return [n for n in list_backends() if _REGISTRY[n].available()]
+    """All registered backend names, sorted."""
+    return sorted(_REGISTRY)

@@ -9,8 +9,8 @@ by ``(tensor identity, kind)`` under a byte budget
 
 * ``kind="terms"`` — the dense ``(n_groups, g, n_terms)`` term arrays
   of :func:`repro.hw.termtable.decode_packed_terms`;
-* ``kind="fused"`` / ``kind="numba"`` — the transposed per-backend
-  layouts the faster kernels precompute per weight image.
+* ``kind="fused"`` — the transposed layout the ``fused`` backend
+  precomputes per weight image.
 
 Entries die with their tensor (a ``weakref.finalize`` per entry), so
 the cache cannot resurrect or outlive packed tensors, and the stored

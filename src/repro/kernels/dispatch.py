@@ -1,163 +1,67 @@
-"""Kernel dispatch: pick the backend/tile for each GEMM, observably.
+"""Kernel dispatch: pick the backend for each GEMM, observably.
 
-Resolution order for one :class:`~repro.kernels.base.GemmTask`:
+The whole policy is :func:`choose_backend`:
 
-1. an explicit backend — the ``backend=`` argument (e.g. from
+1. a pinned backend — the ``backend=`` argument (e.g. from
    ``FunctionalGemm(..., backend="numpy")``) or the
-   ``$REPRO_KERNEL_BACKEND`` environment override; an unavailable or
-   unsupporting choice *falls back* (with a one-line
-   :mod:`repro.obs` warning) rather than failing, because every
-   backend is bit-identical — only speed is at stake;
-2. a memoized autotune record (:mod:`repro.kernels.autotune`) for the
-   task's (datatype, shape-class, granularity, PE config, available
-   backends) key — consulted from an in-process memo first, the
-   content-addressed store second.  Cold *searches* only run when
-   enabled (``$REPRO_KERNEL_AUTOTUNE=1`` or ``autotune=True``), so
-   ordinary test/library calls never pay timing loops;
-3. static priority among available, supporting backends
-   (numba > fused > numpy > reference).
+   ``$REPRO_KERNEL_BACKEND`` environment override — runs when its
+   ``supports()`` accepts the task;
+2. otherwise ``fused`` runs when it accepts the task;
+3. otherwise ``numpy``, which executes any PE config.
 
-When the numba backend is registered but numba is not installed, the
-first default dispatch emits a single clear warning — a missing
-optional dependency silently halving throughput is exactly the kind
-of perf regression that should be diagnosable from logs.
+Unknown pin names fail loudly.  A known pin that declines the task
+*falls back* with a one-line :mod:`repro.obs` warning (once per pin)
+rather than failing, because every backend is bit-identical — only
+speed is at stake.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro import obs
-from repro.kernels.autotune import Autotuner
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    available_backends,
-    get_backend,
-)
+from repro.kernels.base import GemmExecution, GemmTask, KernelBackend, get_backend
 
-__all__ = ["KernelDispatcher", "get_dispatcher", "reset_dispatcher"]
+__all__ = ["KernelDispatcher", "choose_backend", "get_dispatcher", "reset_dispatcher"]
 
 _log = obs.get_logger(__name__)
 
-#: One-shot flags so fallback warnings do not spam per-GEMM call.
-_WARNED_NUMBA_MISSING = False
-_WARNED_FALLBACK: set = set()
 
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def _warn_numba_missing(chosen: str) -> None:
-    global _WARNED_NUMBA_MISSING
-    if _WARNED_NUMBA_MISSING:
-        return
-    _WARNED_NUMBA_MISSING = True
-    _log.warning(
-        "numba is not installed; kernel dispatch falls back to the %r "
-        "backend (install numba to enable the threaded JIT backend)",
-        chosen,
-    )
+def choose_backend(task: GemmTask, pinned: Optional[str] = None) -> KernelBackend:
+    """The dispatch rule: a pin that supports ``task``, else ``fused``
+    when it supports ``task``, else ``numpy``."""
+    if pinned:
+        b = get_backend(pinned)  # unknown names fail loudly
+        if b.supports(task) is None:
+            return b
+    fused = get_backend("fused")
+    return fused if fused.supports(task) is None else get_backend("numpy")
 
 
 class KernelDispatcher:
-    """Routes GEMM tasks to backends; memoizes tuner decisions."""
+    """Routes GEMM tasks to backends; warns once per declined pin."""
 
-    def __init__(
-        self,
-        store=None,
-        backend: Optional[str] = None,
-        autotune: Optional[bool] = None,
-    ):
-        self.tuner = Autotuner(store=store)
-        self._backend_override = backend
-        self._autotune = autotune
-        # tuner-key -> (backend name, tile); avoids a store read per call.
-        self._memo: Dict[str, Tuple[str, Optional[TileSpec]]] = {}
+    def __init__(self):
+        self._warned = set()
 
-    # ------------------------------------------------------------------
-    @property
-    def autotune_enabled(self) -> bool:
-        if self._autotune is not None:
-            return self._autotune
-        return _env_truthy("REPRO_KERNEL_AUTOTUNE")
-
-    def _override_name(self, backend: Optional[str]) -> Optional[str]:
-        return (
-            backend
-            or self._backend_override
-            or os.environ.get("REPRO_KERNEL_BACKEND")
-            or None
-        )
-
-    # ------------------------------------------------------------------
-    def _best_static(self, task: GemmTask) -> KernelBackend:
-        """Highest-priority available backend that supports the task."""
-        chosen = None
-        for name in available_backends():
-            b = get_backend(name)
-            if b.supports(task) is None:
-                chosen = b
-                break
-        if chosen is None:  # every backend declined: the numpy backend
-            chosen = get_backend("numpy")  # executes any PE config
-        numba = get_backend("numba")
-        if not numba.available():
-            _warn_numba_missing(chosen.name)
-        return chosen
-
-    def resolve(
-        self, task: GemmTask, backend: Optional[str] = None
-    ) -> Tuple[KernelBackend, Optional[TileSpec]]:
-        """The (backend, tile) this task will run on."""
-        name = self._override_name(backend)
-        if name:
-            b = get_backend(name)  # unknown names fail loudly
-            reason = (
-                "not available in this process"
-                if not b.available()
-                else b.supports(task)
-            )
-            if reason is None:
-                return b, b.default_tile(task)
-            fb = self._best_static(task)
-            if name not in _WARNED_FALLBACK:
-                _WARNED_FALLBACK.add(name)
+    def resolve(self, task: GemmTask, backend: Optional[str] = None) -> KernelBackend:
+        """The backend this task will run on."""
+        pinned = backend or os.environ.get("REPRO_KERNEL_BACKEND")
+        chosen = choose_backend(task, pinned)
+        if pinned and chosen.name != pinned:
+            if pinned not in self._warned:
+                self._warned.add(pinned)
                 _log.warning(
                     "kernel backend %r cannot run this task (%s); "
                     "falling back to %r",
-                    name, reason, fb.name,
+                    pinned, get_backend(pinned).supports(task), chosen.name,
                 )
-            obs.counter("kernels.dispatch.fallbacks", requested=name).inc()
-            return fb, fb.default_tile(task)
+            obs.counter("kernels.dispatch.fallbacks", requested=pinned).inc()
+        return chosen
 
-        key = self.tuner.key(task)
-        memo = self._memo.get(key)
-        if memo is not None:
-            b = get_backend(memo[0])
-            return b, memo[1]
-        rec = self.tuner.decide(task, allow_search=self.autotune_enabled)
-        if rec is not None:
-            b = get_backend(rec["backend"])
-            tile = TileSpec.from_dict(rec["tile"])
-            numba = get_backend("numba")
-            if not numba.available():
-                _warn_numba_missing(b.name)
-        else:
-            b = self._best_static(task)
-            tile = b.default_tile(task)
-        self._memo[key] = (b.name, tile)
-        return b, tile
-
-    # ------------------------------------------------------------------
-    def run(
-        self, task: GemmTask, backend: Optional[str] = None
-    ) -> GemmExecution:
-        b, tile = self.resolve(task, backend=backend)
+    def run(self, task: GemmTask, backend: Optional[str] = None) -> GemmExecution:
+        b = self.resolve(task, backend=backend)
         obs.counter("kernels.dispatch", backend=b.name).inc()
         if obs.trace_enabled():
             m, k, d, *_ = task.geometry()
@@ -165,8 +69,8 @@ class KernelDispatcher:
                 "kernel.dispatch", backend=b.name,
                 dtype=task.packed.dtype_name, m=m, k=k, d=d,
             ):
-                return b.run(task, tile)
-        return b.run(task, tile)
+                return b.run(task)
+        return b.run(task)
 
 
 # ----------------------------------------------------------------------
@@ -184,11 +88,8 @@ def get_dispatcher() -> KernelDispatcher:
     return _DISPATCHER
 
 
-def reset_dispatcher(**kwargs) -> KernelDispatcher:
-    """Fresh dispatcher + re-armed one-shot warnings (tests, or after
-    changing ``$REPRO_CACHE_DIR`` / ``$REPRO_KERNEL_*``)."""
-    global _DISPATCHER, _WARNED_NUMBA_MISSING
-    _DISPATCHER = KernelDispatcher(**kwargs)
-    _WARNED_NUMBA_MISSING = False
-    _WARNED_FALLBACK.clear()
+def reset_dispatcher() -> KernelDispatcher:
+    """Fresh process-wide dispatcher with re-armed fallback warnings."""
+    global _DISPATCHER
+    _DISPATCHER = KernelDispatcher()
     return _DISPATCHER

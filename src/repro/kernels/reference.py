@@ -21,13 +21,7 @@ from repro.dtypes.integer import IntegerType
 from repro.hw.bitserial import BitSerialTerm, booth_encode, fixed_point_decompose
 from repro.hw.pe import BitMoDPE
 from repro.hw.termtable import ASYMMETRIC_REJECT_MSG
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    register_backend,
-)
+from repro.kernels.base import GemmExecution, GemmTask, KernelBackend, register_backend
 
 __all__ = ["ReferenceBackend", "decode_group_terms", "rows_per_channel"]
 
@@ -68,14 +62,13 @@ class ReferenceBackend(KernelBackend):
     """The scalar ground-truth engine (never picked by default)."""
 
     name = "reference"
-    priority = -100
 
     def supports(self, task: GemmTask) -> Optional[str]:
         if task.packed.zeros is not None:
             return "the bit-serial PE does not execute zero-point containers"
         return None
 
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
+    def run(self, task: GemmTask) -> GemmExecution:
         packed = task.packed
         pe = BitMoDPE(task.pe_config)
         x = task.x

@@ -1,4 +1,4 @@
-"""The ``numpy`` backend: PR 2's vectorized integer-exact engine.
+"""The ``numpy`` backend: the vectorized integer-exact engine.
 
 The packed tensor is decoded once into dense term arrays
 (:func:`repro.hw.termtable.decode_packed_terms`, memoized in the
@@ -13,19 +13,11 @@ backends defer to.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.hw.pe import BitMoDPE
 from repro.hw.termtable import decode_packed_terms
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    register_backend,
-)
+from repro.kernels.base import GemmExecution, GemmTask, KernelBackend, register_backend
 
 __all__ = ["VectorizedBackend"]
 
@@ -35,17 +27,8 @@ class VectorizedBackend(KernelBackend):
     """Batched group-dot execution over dense decoded term arrays."""
 
     name = "numpy"
-    priority = 10
 
-    def supports(self, task: GemmTask) -> Optional[str]:
-        if task.packed.zeros is not None:
-            # Matches the scalar PE's TypeError semantics: callers see
-            # the rejection in FunctionalGemm before dispatch; here it
-            # keeps the autotuner from timing an un-runnable candidate.
-            return "the bit-serial PE does not execute zero-point containers"
-        return None
-
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
+    def run(self, task: GemmTask) -> GemmExecution:
         packed = task.packed
         pe = BitMoDPE(task.pe_config)
         m, k, d, g, gpc, _pad = task.geometry()

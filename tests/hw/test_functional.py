@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from repro.dtypes.registry import list_dtypes
 from repro.hw.functional import FunctionalGemm
+from repro.hw.pe import PEConfig
 from repro.hw.timing import gemm_compute_cycles
 from repro.kernels import list_backends
-from repro.kernels.base import GemmTask
 from repro.kernels.cache import decode_cache
-from repro.kernels.numba_backend import NumbaBackend
 from repro.quant.config import QuantConfig, quantize_tensor
 from repro.quant.packing import pack_tensor
 
-#: Every registered backend, whether or not it is available here: the
-#: dispatcher must run each one bit-identically (unavailable choices —
-#: e.g. "numba" without numba installed — exercise the fallback path,
+#: Every registered backend: the dispatcher must run each one
+#: bit-identically (pins a backend declines exercise the fallback path,
 #: which must also be bit-identical).
 ALL_BACKENDS = list_backends()
 
@@ -112,8 +110,8 @@ class TestVectorizedEquivalence:
     registry datatype, including matching rejection behaviour.
 
     Backends are selected through the dispatcher (``backend=`` pin),
-    so pinning an unavailable backend (e.g. "numba" here without
-    numba) also proves the fallback path preserves bit identity.
+    so pinning a backend that declines the task also proves the
+    fallback path preserves bit identity.
     """
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -156,21 +154,56 @@ class TestVectorizedEquivalence:
         )
         _assert_same_execution(gemm.run_scalar(x, w), gemm.run(x, w))
 
-    @pytest.mark.parametrize("dtype", ["bitmod_fp4", "int6_sym", "ant4"])
-    def test_numba_kernel_python_path_bit_identical(self, rng, dtype):
-        """The numba kernel's plain-Python twin (what JIT compiles) is
-        bit-identical even when numba itself is not installed."""
-        cfg = QuantConfig(dtype=dtype, group_size=32)
-        w = rng.standard_normal((2, 64))
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize(
+        "pe_config",
+        [PEConfig(acc_mantissa_bits=20), PEConfig(guard_bits=12)],
+        ids=["acc20", "guard12"],
+    )
+    def test_non_default_pe_bit_identical(self, rng, pe_config, backend):
+        """The fused backend declines both configs (non-24-bit
+        accumulator; lane-sum overflow at 12 guard bits), so its pin
+        exercises the numpy fallback, which must stay exact."""
+        w = rng.standard_normal((3, 64))
         x = rng.standard_normal((2, 64)).astype(np.float16)
-        gemm = FunctionalGemm(cfg)
-        task = GemmTask(
-            x=gemm._validated_shapes(x, w.shape),
-            packed=pack_tensor(w, cfg),
-            dtype=cfg.resolve_dtype(),
-            pe_config=gemm.pe.config,
+        gemm = FunctionalGemm(
+            QuantConfig(dtype="bitmod_fp4", group_size=32),
+            pe_config=pe_config,
+            backend=backend,
         )
-        _assert_same_execution(gemm.run_scalar(x, w), NumbaBackend().run(task))
+        _assert_same_execution(gemm.run_scalar(x, w), gemm.run(x, w))
+
+    @pytest.mark.parametrize(
+        "pe_config",
+        [PEConfig(acc_mantissa_bits=20), PEConfig(guard_bits=12)],
+        ids=["acc20", "guard12"],
+    )
+    @pytest.mark.parametrize("dtype", list_dtypes())
+    def test_registry_dtype_fallback_bit_identical_or_same_rejection(
+        self, rng, dtype, pe_config
+    ):
+        """A ``fused`` pin on a config it declines runs on ``numpy`` for
+        every registry datatype, and that fallback stays exact."""
+        from repro import obs
+
+        w = rng.standard_normal((3, 64))
+        x = rng.standard_normal((2, 64)).astype(np.float16)
+        gemm = FunctionalGemm(
+            QuantConfig(dtype=dtype, group_size=32),
+            pe_config=pe_config,
+            backend="fused",
+        )
+        try:
+            scalar = gemm.run_scalar(x, w)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                gemm.run(x, w)
+            return
+        obs.reset()
+        _assert_same_execution(scalar, gemm.run(x, w))
+        counters = obs.snapshot()["counters"]
+        assert counters["kernels.dispatch{backend=numpy}"] == 1
+        assert "kernels.dispatch{backend=fused}" not in counters
 
     def test_asymmetric_rejection_matches(self, rng):
         w = rng.standard_normal((2, 64))

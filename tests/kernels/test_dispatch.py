@@ -1,4 +1,4 @@
-"""Dispatcher: overrides, fallbacks, tuned routing, warn-once logging."""
+"""Dispatcher: the pin/fused/numpy rule, fallbacks, warn-once logging."""
 
 import logging
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.hw.pe import PEConfig
-from repro.kernels import HAVE_NUMBA, KernelDispatcher, get_backend, reset_dispatcher
+from repro.kernels import KernelDispatcher, get_backend, reset_dispatcher
 from repro.kernels.base import GemmTask
-from repro.kernels.dispatch import get_dispatcher
-from repro.pipeline.store import CacheStore
+from repro.kernels.dispatch import choose_backend, get_dispatcher
 from repro.quant.config import QuantConfig
 from repro.quant.packing import pack_tensor
 
@@ -24,88 +23,87 @@ def _task(rng, dtype="bitmod_fp4", m=2, k=3, d=64, pe_config=None):
     )
 
 
+#: PE configs the fused float32 backend declines: a non-24-bit
+#: accumulator, and a guard width whose lane sum overflows float32.
+EXOTIC_PE = [PEConfig(acc_mantissa_bits=20), PEConfig(guard_bits=12)]
+
+
 @pytest.fixture(autouse=True)
-def _fresh_dispatcher():
+def _fresh_dispatcher(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
     yield
     reset_dispatcher()
 
 
 class TestResolution:
-    def test_explicit_backend_wins(self, rng, tmp_path):
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
-        b, _tile = disp.resolve(_task(rng), backend="numpy")
-        assert b.name == "numpy"
+    def test_explicit_backend_wins(self, rng):
+        assert KernelDispatcher().resolve(_task(rng), backend="numpy").name == "numpy"
 
-    def test_unknown_backend_fails_loudly(self, rng, tmp_path):
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
+    def test_unknown_backend_fails_loudly(self, rng):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            disp.resolve(_task(rng), backend="not-a-backend")
+            KernelDispatcher().resolve(_task(rng), backend="not-a-backend")
 
-    def test_env_override(self, rng, tmp_path, monkeypatch):
+    def test_env_override(self, rng, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
-        b, _tile = disp.resolve(_task(rng))
-        assert b.name == "reference"
+        assert KernelDispatcher().resolve(_task(rng)).name == "reference"
 
-    def test_default_is_best_static_without_tuning(self, rng, tmp_path):
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
-        b, _tile = disp.resolve(_task(rng))
-        expected = "numba" if HAVE_NUMBA else "fused"
-        assert b.name == expected
-        assert disp.tuner.trials_run == 0  # no search unless enabled
+    def test_explicit_backend_beats_env(self, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
+        assert KernelDispatcher().resolve(_task(rng), backend="numpy").name == "numpy"
 
-    def test_exotic_pe_config_falls_back_to_numpy(self, rng, tmp_path):
-        """Non-default accumulator widths only run on the integer-exact
-        numpy backend; the float32 backends must decline."""
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
-        task = _task(rng, pe_config=PEConfig(acc_mantissa_bits=20))
-        b, _tile = disp.resolve(task)
-        assert b.name == "numpy"
+    @pytest.mark.parametrize("dtype", ["bitmod_fp4", "bitmod_fp3", "int6_sym", "fp4"])
+    def test_default_is_fused(self, rng, dtype):
+        assert KernelDispatcher().resolve(_task(rng, dtype=dtype)).name == "fused"
 
-    def test_unsupporting_override_falls_back(self, rng, tmp_path):
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
-        task = _task(rng, pe_config=PEConfig(acc_mantissa_bits=20))
-        b, _tile = disp.resolve(task, backend="fused")
-        assert b.name == "numpy"
+    @pytest.mark.parametrize("pe_config", EXOTIC_PE, ids=["acc20", "guard12"])
+    def test_exotic_pe_config_resolves_to_numpy(self, rng, pe_config):
+        """Only the integer-exact numpy backend runs configs outside the
+        fused backend's float32 exactness proof."""
+        task = _task(rng, pe_config=pe_config)
+        assert get_backend("fused").supports(task) is not None
+        assert KernelDispatcher().resolve(task).name == "numpy"
 
-    def test_autotune_search_then_memoized_routing(self, rng, tmp_path):
-        store = CacheStore(root=tmp_path)
-        disp = KernelDispatcher(store=store, autotune=True)
-        task = _task(rng)
-        b1, tile1 = disp.resolve(task)
-        assert disp.tuner.trials_run > 0
-        # Same shape-class: in-process memo, no second search.
-        trials = disp.tuner.trials_run
-        b2, tile2 = disp.resolve(_task(rng))
-        assert disp.tuner.trials_run == trials
-        assert (b2.name, tile2) == (b1.name, tile1)
-        # A fresh dispatcher over the same store replays the record.
-        warm = KernelDispatcher(store=store, autotune=True)
-        b3, tile3 = warm.resolve(_task(rng))
-        assert warm.tuner.trials_run == 0
-        assert (b3.name, tile3) == (b1.name, tile1)
+    @pytest.mark.parametrize("pe_config", EXOTIC_PE, ids=["acc20", "guard12"])
+    def test_unsupporting_pin_falls_back_to_numpy(self, rng, pe_config):
+        task = _task(rng, pe_config=pe_config)
+        assert KernelDispatcher().resolve(task, backend="fused").name == "numpy"
 
-    def test_autotune_env_flag(self, rng, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_AUTOTUNE", "1")
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
-        assert disp.autotune_enabled
-        disp.resolve(_task(rng))
-        assert disp.tuner.trials_run > 0
+
+class TestChooseBackend:
+    """The policy function on its own, with no env or dispatcher state."""
+
+    def test_no_pin_picks_fused(self, rng):
+        assert choose_backend(_task(rng)).name == "fused"
+
+    def test_supported_pin_wins(self, rng):
+        assert choose_backend(_task(rng), "reference").name == "reference"
+
+    @pytest.mark.parametrize("pe_config", EXOTIC_PE, ids=["acc20", "guard12"])
+    def test_declined_pin_and_no_pin_pick_numpy(self, rng, pe_config):
+        task = _task(rng, pe_config=pe_config)
+        assert choose_backend(task, "fused").name == "numpy"
+        assert choose_backend(task).name == "numpy"
+
+    def test_unknown_pin_raises(self, rng):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            choose_backend(_task(rng), "not-a-backend")
 
 
 class TestRun:
-    def test_run_counts_dispatches(self, rng, tmp_path):
+    def test_run_counts_dispatches(self, rng):
         from repro import obs
 
         obs.reset()
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
+        disp = KernelDispatcher()
         res = disp.run(_task(rng), backend="numpy")
         assert res.output.shape == (2, 3)
+        disp.run(_task(rng))
         counters = obs.snapshot()["counters"]
         assert counters["kernels.dispatch{backend=numpy}"] == 1
+        assert counters["kernels.dispatch{backend=fused}"] == 1
 
-    def test_all_resolved_backends_agree(self, rng, tmp_path):
-        disp = KernelDispatcher(store=CacheStore(root=tmp_path))
+    def test_all_resolved_backends_agree(self, rng):
+        disp = KernelDispatcher()
         task = _task(rng)
         ref = get_backend("reference").run(task)
         for name in ("numpy", "fused"):
@@ -127,30 +125,33 @@ def _propagating_repro_logs():
 
 @pytest.mark.usefixtures("_propagating_repro_logs")
 class TestWarnings:
-    @pytest.mark.skipif(HAVE_NUMBA, reason="needs a numba-less environment")
-    def test_numba_missing_warns_once(self, rng, tmp_path, caplog):
-        disp = reset_dispatcher(store=CacheStore(root=tmp_path))
+    def _fallback_warnings(self, caplog):
+        return [r for r in caplog.records if "cannot run this task" in r.getMessage()]
+
+    def test_declined_pin_warns_once(self, rng, caplog):
+        disp = reset_dispatcher()
+        task = _task(rng, pe_config=PEConfig(acc_mantissa_bits=20))
+        with caplog.at_level(logging.WARNING, logger="repro.kernels.dispatch"):
+            disp.resolve(task, backend="fused")
+            disp.resolve(task, backend="fused")
+        (warning,) = self._fallback_warnings(caplog)
+        assert "24-bit accumulator" in warning.getMessage()
+        assert "falling back to 'numpy'" in warning.getMessage()
+
+    def test_reset_rearms_the_warning(self, rng, caplog):
+        task = _task(rng, pe_config=PEConfig(acc_mantissa_bits=20))
+        with caplog.at_level(logging.WARNING, logger="repro.kernels.dispatch"):
+            reset_dispatcher().resolve(task, backend="fused")
+            reset_dispatcher().resolve(task, backend="fused")
+        assert len(self._fallback_warnings(caplog)) == 2
+
+    def test_supported_pin_and_default_do_not_warn(self, rng, caplog):
+        disp = reset_dispatcher()
         with caplog.at_level(logging.WARNING, logger="repro.kernels.dispatch"):
             disp.resolve(_task(rng))
-            disp.resolve(_task(rng, dtype="int6_sym"))
-        warnings = [
-            r for r in caplog.records if "numba is not installed" in r.getMessage()
-        ]
-        assert len(warnings) == 1
-        assert "falls back" in warnings[0].getMessage()
-
-    def test_unavailable_override_warns_and_falls_back(
-        self, rng, tmp_path, caplog
-    ):
-        if HAVE_NUMBA:
-            pytest.skip("needs a numba-less environment")
-        disp = reset_dispatcher(store=CacheStore(root=tmp_path))
-        with caplog.at_level(logging.WARNING, logger="repro.kernels.dispatch"):
-            b, _tile = disp.resolve(_task(rng), backend="numba")
-        assert b.name == "fused"
-        assert any(
-            "cannot run this task" in r.getMessage() for r in caplog.records
-        )
+            disp.resolve(_task(rng), backend="numpy")
+            disp.resolve(_task(rng, pe_config=PEConfig(acc_mantissa_bits=20)))
+        assert self._fallback_warnings(caplog) == []
 
 
 class TestProcessWide:
