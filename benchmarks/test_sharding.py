@@ -1,8 +1,9 @@
 """Sharded-serving benchmarks: the 1 -> 4 shard scaling curve.
 
-Drives the same seeded Poisson trace at a single-device engine and at
-2- and 4-shard :class:`~repro.shard.ShardedEngine` meshes, recording
-measured throughput, TTFT tails, and the modeled interconnect bill
+Drives the same seeded Poisson trace at one engine on a single device
+and on 2- and 4-shard meshes
+(``InferenceEngine.from_artifact(artifact, mesh=DeviceMesh(tp=n))``),
+recording measured throughput, TTFT tails, and the modeled interconnect bill
 (collective wire bytes per generated token, per topology) to
 ``BENCH_sharding.json`` next to this file.  Sharded token streams must
 stay byte-identical to single-device — the scaling curve is only
@@ -24,7 +25,7 @@ from repro.models.zoo import get_model_config as _zoo_config
 from repro.quant.config import QuantConfig
 from repro.serve import InferenceEngine
 from repro.serve.artifact import save_artifact
-from repro.shard import DeviceMesh, ShardedEngine
+from repro.shard import DeviceMesh
 
 _RESULTS_PATH = Path(__file__).parent / "BENCH_sharding.json"
 _QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
@@ -59,19 +60,13 @@ def artifact(tmp_path_factory):
     )
 
 
-def _engine(artifact, shards):
-    if shards == 1:
-        return InferenceEngine.from_artifact(artifact)
-    return ShardedEngine.from_artifact(artifact, DeviceMesh(tp=shards))
-
-
 def test_scaling_curve(artifact):
     """Measured load at 1/2/4 shards; streams byte-identical throughout."""
     workload = _workload()
     curve = {}
     streams = {}
     for shards in _SHARD_COUNTS:
-        engine = _engine(artifact, shards)
+        engine = InferenceEngine.from_artifact(artifact, mesh=DeviceMesh(tp=shards))
         t0 = time.perf_counter()
         result = run_load(engine, workload, max_batch_tokens=256)
         wall_s = time.perf_counter() - t0
@@ -89,7 +84,7 @@ def test_scaling_curve(artifact):
             "wall_s": wall_s,
         }
         if shards > 1:
-            snap = engine.collective_stats()
+            snap = engine.model.collective.snapshot()
             entry["collective"] = {
                 "topology": snap["topology"],
                 "total_wire_bytes": snap["total_wire_bytes"],

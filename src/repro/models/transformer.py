@@ -210,11 +210,6 @@ class CausalLM:
             )
         return self._pos
 
-    def _linear(self, x: np.ndarray, name: str) -> np.ndarray:
-        """Apply the named projection — the one hook every block linear
-        and the LM head go through (:mod:`repro.shard` overrides it)."""
-        return linear(x, self.weights[name])
-
     def _norm(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
         if self._use_layernorm:
             return layer_norm(x, gain)
@@ -239,6 +234,7 @@ class CausalLM:
         if collect and cache is not None:
             raise ValueError("calibration collection needs a full forward pass")
         cfg = self.config
+        w = self.weights
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -249,7 +245,7 @@ class CausalLM:
         past = cache.seq_len if cache is not None else 0
         total = past + seq
 
-        x = self.weights["embed"][tokens] * np.sqrt(h)
+        x = w["embed"][tokens] * np.sqrt(h)
         tables = self._position_tables(total)
         if self._use_rope:
             cos, sin = tables[0][past:total], tables[1][past:total]
@@ -265,13 +261,13 @@ class CausalLM:
         for layer in range(cfg.sim_layers):
             p = f"layers.{layer}."
             # --- attention ---
-            xn = self._maybe_quant_act(self._norm(x, self.weights[p + "attn_norm"]))
+            xn = self._maybe_quant_act(self._norm(x, w[p + "attn_norm"]))
             record(p + "q_proj", xn)
             record(p + "k_proj", xn)
             record(p + "v_proj", xn)
-            q = self._linear(xn, p + "q_proj").reshape(batch, seq, n_heads, head_dim)
-            k = self._linear(xn, p + "k_proj").reshape(batch, seq, n_kv, head_dim)
-            v = self._linear(xn, p + "v_proj").reshape(batch, seq, n_kv, head_dim)
+            q = linear(xn, w[p + "q_proj"]).reshape(batch, seq, n_heads, head_dim)
+            k = linear(xn, w[p + "k_proj"]).reshape(batch, seq, n_kv, head_dim)
+            v = linear(xn, w[p + "v_proj"]).reshape(batch, seq, n_kv, head_dim)
             q = q.transpose(0, 2, 1, 3)
             k = k.transpose(0, 2, 1, 3)
             v = v.transpose(0, 2, 1, 3)
@@ -288,25 +284,25 @@ class CausalLM:
             attn = attn.transpose(0, 2, 1, 3).reshape(batch, seq, h)
             attn = self._maybe_quant_act(attn)
             record(p + "o_proj", attn)
-            x = x + self._linear(attn, p + "o_proj")
+            x = x + linear(attn, w[p + "o_proj"])
 
             # --- MLP ---
-            xn = self._maybe_quant_act(self._norm(x, self.weights[p + "mlp_norm"]))
+            xn = self._maybe_quant_act(self._norm(x, w[p + "mlp_norm"]))
             if cfg.gated_mlp:
                 record(p + "gate_proj", xn)
                 record(p + "up_proj", xn)
-                gate = silu(self._linear(xn, p + "gate_proj"))
-                up = self._linear(xn, p + "up_proj")
+                gate = silu(linear(xn, w[p + "gate_proj"]))
+                up = linear(xn, w[p + "up_proj"])
                 inner = self._maybe_quant_act(gate * up)
                 record(p + "down_proj", inner)
-                x = x + self._linear(inner, p + "down_proj")
+                x = x + linear(inner, w[p + "down_proj"])
             else:
                 record(p + "fc1", xn)
-                inner = self._maybe_quant_act(gelu(self._linear(xn, p + "fc1")))
+                inner = self._maybe_quant_act(gelu(linear(xn, w[p + "fc1"])))
                 record(p + "fc2", inner)
-                x = x + self._linear(inner, p + "fc2")
+                x = x + linear(inner, w[p + "fc2"])
 
-        x = self._norm(x, self.weights["final_norm"])
+        x = self._norm(x, w["final_norm"])
         if collect:
             return x, acts
         return x
@@ -320,7 +316,7 @@ class CausalLM:
         (incremental decode); the cache is updated in place.
         """
         x = self.hidden_states(tokens, cache=cache)
-        return self._linear(x, "lm_head")
+        return linear(x, self.weights["lm_head"])
 
     # ------------------------------------------------------------------
     # Stateful serving path.

@@ -129,8 +129,8 @@ class ModelArtifact:
             raise ValueError(
                 f"artifact is shard {self.shard_header['shard_index']} of "
                 f"{self.shard_header['n_shards']}, not a full model; load "
-                "the set with repro.shard.load_sharded_artifact and build "
-                "a ShardedEngine"
+                "the set with repro.shard.load_sharded_artifact and rebuild "
+                "the model with repro.shard.merge_shards"
             )
         weights = {k: v.copy() for k, v in self.raw_weights.items()}
         for name, p in self.packed.items():

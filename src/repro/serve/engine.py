@@ -1,12 +1,13 @@
 """The inference engine: incremental decode over a packed model.
 
 The engine owns one dequantized :class:`CausalLM` (usually rebuilt
-from a :class:`~repro.serve.artifact.ModelArtifact`) and advances
-independent sequences through it.  Each sequence carries its own
-:class:`~repro.models.transformer.KVCache`, so a decode step costs a
-single-position forward pass — O(1) in the generated length — where
-the monolithic ``CausalLM.logits`` path recomputes the whole sequence
-every token.
+from a :class:`~repro.serve.artifact.ModelArtifact`; a
+:class:`~repro.shard.model.ShardedCausalLM` when built over a device
+mesh) and advances independent sequences through it.  Each sequence
+carries its own :class:`~repro.models.transformer.KVCache`, so a
+decode step costs a single-position forward pass — O(1) in the
+generated length — where the monolithic ``CausalLM.logits`` path
+recomputes the whole sequence every token.
 """
 
 from __future__ import annotations
@@ -104,19 +105,21 @@ class InferenceEngine:
     ) -> "InferenceEngine":
         """Instantiate the packed model and wrap it in an engine.
 
-        With a :class:`~repro.shard.mesh.DeviceMesh`, the artifact is
-        partitioned and a :class:`~repro.shard.engine.ShardedEngine`
-        comes back instead (same sequence API; prefix caching is
-        rejected there — see ``repro.shard.engine``).
+        With a multi-device :class:`~repro.shard.mesh.DeviceMesh` the
+        model is a :class:`~repro.shard.model.ShardedCausalLM` over it
+        (``engine.model.mesh``, ``engine.model.collective``); the
+        sequence API, prefix caching included, is unchanged.  Meshes
+        reject per-tensor KV quantization
+        (:func:`~repro.shard.model.check_kv_quant`).
         """
+        model = artifact.instantiate()
         if mesh is not None and mesh.n_devices > 1:
-            from repro.shard.engine import ShardedEngine
+            from repro.shard.model import ShardedCausalLM, check_kv_quant
 
-            return ShardedEngine.from_artifact(
-                artifact, mesh, seed=seed, prefix_cache=prefix_cache
-            )
+            check_kv_quant(artifact.kv_quant)
+            model = ShardedCausalLM(model.config, mesh, model.weights, seed=model.seed)
         return cls(
-            artifact.instantiate(),
+            model,
             kv_quant=artifact.kv_quant,
             seed=seed,
             artifact=artifact,

@@ -33,6 +33,7 @@ from repro.serve.batching import ContinuousBatcher, Request, RequestState
 from repro.serve.engine import GenerationConfig, InferenceEngine
 from repro.serve.errors import DeadlineExceeded, Overloaded
 from repro.serve.metrics import ServeMetrics
+from repro.serve.prefix import PrefixKVCache
 
 __all__ = ["GenerationResult", "ServeServer"]
 
@@ -200,9 +201,12 @@ class ServeServer:
         ``source`` is an artifact path (loaded with checksum
         verification unless ``verify=False``) or a pre-built
         :class:`InferenceEngine`.  With a
-        :class:`~repro.shard.mesh.DeviceMesh` the artifact comes up as
-        a :class:`~repro.shard.engine.ShardedEngine` instead.  The
-        load happens *before* the swap, so a corrupt artifact raises
+        :class:`~repro.shard.mesh.DeviceMesh` the artifact is served
+        over that mesh.  An artifact swapped in behind a prefix-cached
+        engine gets a fresh :class:`~repro.serve.prefix.PrefixKVCache`
+        of the same block size and budget (the old one's snapshots
+        belong to the old weights).  The load happens *before* the
+        swap, so a corrupt artifact raises
         :class:`~repro.serve.artifact.ArtifactIntegrityError` and the
         running engine keeps serving.  In-flight requests finish on
         the engine they started on — zero dropped requests.
@@ -213,7 +217,16 @@ class ServeServer:
             from repro.serve.artifact import load_artifact
 
             artifact = load_artifact(source, verify=verify)
-            engine = InferenceEngine.from_artifact(artifact, seed=seed, mesh=mesh)
+            old_cache = self.batcher.engine.prefix_cache
+            prefix_cache = None
+            if old_cache is not None:
+                prefix_cache = PrefixKVCache(
+                    block_tokens=old_cache.block_tokens,
+                    budget_bytes=old_cache.budget_bytes,
+                )
+            engine = InferenceEngine.from_artifact(
+                artifact, seed=seed, prefix_cache=prefix_cache, mesh=mesh
+            )
         old = self.batcher.swap_engine(engine)
         self._reloads.inc()
         return old

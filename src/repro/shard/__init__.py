@@ -1,16 +1,17 @@
 """repro.shard — tensor/pipeline-parallel serving over a device mesh.
 
-The sharding layer splits a packed model over an explicit
-:class:`DeviceMesh` (``tp`` tensor-parallel shards x ``pp`` pipeline
-stages) into per-device artifacts, and serves it through a
-:class:`ShardedEngine` whose model is a :class:`ShardedCausalLM` — a
-:class:`~repro.models.transformer.CausalLM` with one ``_linear``
-override for the ``reduce="sum"`` split-K schedule and a
-:class:`Collective` ledger charged once per forward pass.  Under the
-default ``reduce="gather"`` mesh the forward *is* the single-device
-one, so logits and token streams are **byte-identical**;
-``reduce="sum"`` adds per-rank partial sums in fixed rank order
-(deterministic, token-identical).
+The sharding layer is a partition of the weights plus a priced
+collective ledger.  An explicit :class:`DeviceMesh` (``tp``
+tensor-parallel shards x ``pp`` pipeline stages) names the split;
+:func:`shard_artifact` / :func:`merge_shards` cut a packed artifact
+into per-device sub-artifacts and put it back together byte for byte;
+:class:`ShardedCausalLM` is a
+:class:`~repro.models.transformer.CausalLM` whose ``logits`` charge a
+:class:`Collective` ledger once per forward pass.  A mesh serves
+through the ordinary engine,
+``InferenceEngine.from_artifact(artifact, mesh=mesh)``, and since the
+forward *is* the single-device one, logits and token streams are
+**byte-identical** to it — prefix-cached or not.
 
 Interconnect cost is modeled, not wished away: the ledger charges the
 collective list of :func:`repro.hw.multichip.pass_collectives`, the
@@ -20,14 +21,14 @@ price.
 
 from repro.shard.artifact import (
     load_sharded_artifact,
+    merge_shards,
     mesh_digest,
     save_sharded_artifact,
     shard_paths,
 )
 from repro.shard.collective import Collective, OpStats
-from repro.shard.engine import PREFIX_CACHE_UNSUPPORTED, ShardedEngine
 from repro.shard.errors import ShardError, ShardTopologyError
-from repro.shard.mesh import REDUCE_MODES, DeviceMesh, ShardSpec, partition_specs
+from repro.shard.mesh import DeviceMesh, ShardSpec, partition_specs
 from repro.shard.model import ShardedCausalLM, check_kv_quant
 from repro.shard.partition import shard_artifact, slice_packed
 
@@ -35,15 +36,13 @@ __all__ = [
     "Collective",
     "DeviceMesh",
     "OpStats",
-    "PREFIX_CACHE_UNSUPPORTED",
-    "REDUCE_MODES",
     "ShardError",
     "ShardSpec",
     "ShardTopologyError",
     "ShardedCausalLM",
-    "ShardedEngine",
     "check_kv_quant",
     "load_sharded_artifact",
+    "merge_shards",
     "mesh_digest",
     "partition_specs",
     "save_sharded_artifact",

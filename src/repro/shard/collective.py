@@ -1,4 +1,4 @@
-"""The interconnect ledger of the sharded engine.
+"""The interconnect ledger of a sharded model.
 
 A :class:`Collective` moves no data: a
 :class:`~repro.shard.model.ShardedCausalLM` computes every projection

@@ -3,28 +3,18 @@
 A :class:`DeviceMesh` is the declarative shape of a multi-device
 deployment: ``tp`` tensor-parallel shards x ``pp`` pipeline stages
 (contiguous layer ranges, split by
-:func:`repro.hw.multichip.stage_layer_counts`), an interconnect
-``topology`` (priced by :mod:`repro.hw.multichip`), and the collective
-``reduce`` mode:
-
-* ``"gather"`` (default) — row-parallel weights slice by *output*
-  rows, so every projection contracts over its full K dimension
-  exactly as the single-device pass does and the logits are **byte
-  identical** to it.
-* ``"sum"`` — the classic Megatron schedule: row-parallel weights are
-  K-sliced and partial sums are added in fixed shard order.
-  Deterministic and token-stream identical, but float addition is not
-  associative, so logits may differ from the single-device pass by a
-  few ULP.
-
-Both modes are charged the same interconnect volume per layer; the
-mesh is part of the artifact digest, so shard sets packed under one
-mode cannot be silently loaded under the other.
+:func:`repro.hw.multichip.stage_layer_counts`) and an interconnect
+``topology`` (priced by :mod:`repro.hw.multichip`).  Every split
+projection slices by *output* rows, so each one contracts over its
+full K dimension exactly as the single-device pass does and the
+logits are **byte identical** to it.  The mesh is part of the artifact
+digest, so shard sets packed for one mesh cannot be silently loaded
+as another.
 
 :class:`ShardSpec` names how one weight tensor splits across the
 ``tp`` axis — the ``PartitionSpec`` idea from the jax_llama exemplar,
-reduced to the three cases a decoder block needs (replicate, split
-output channels, split input columns).
+reduced to the two cases a decoder block needs (replicate, split
+output channels).
 """
 
 from __future__ import annotations
@@ -37,10 +27,7 @@ from repro.hw.multichip import TOPOLOGIES, stage_layer_counts
 from repro.models.config import ModelConfig
 from repro.shard.errors import ShardError
 
-__all__ = ["DeviceMesh", "REDUCE_MODES", "ShardSpec", "partition_specs"]
-
-#: Collective schedules a mesh may run (see module docstring).
-REDUCE_MODES = ("gather", "sum")
+__all__ = ["DeviceMesh", "ShardSpec", "partition_specs"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +37,6 @@ class DeviceMesh:
     tp: int = 1
     pp: int = 1
     topology: str = "ring"
-    reduce: str = "gather"
 
     def __post_init__(self):
         if self.tp < 1 or self.pp < 1:
@@ -64,12 +50,6 @@ class DeviceMesh:
                 f"unknown topology {self.topology!r} "
                 f"(known: {', '.join(TOPOLOGIES)})",
                 topology=self.topology,
-            )
-        if self.reduce not in REDUCE_MODES:
-            raise ShardError(
-                f"unknown reduce mode {self.reduce!r} "
-                f"(known: {', '.join(REDUCE_MODES)})",
-                reduce=self.reduce,
             )
 
     @property
@@ -131,12 +111,11 @@ class DeviceMesh:
             "tp": self.tp,
             "pp": self.pp,
             "topology": self.topology,
-            "reduce": self.reduce,
         }
 
     @classmethod
     def from_dict(cls, d: Dict) -> "DeviceMesh":
-        known = {"tp", "pp", "topology", "reduce"}
+        known = {"tp", "pp", "topology"}
         unknown = set(d) - known
         if unknown:
             raise ShardError(
@@ -147,7 +126,6 @@ class DeviceMesh:
             tp=int(d.get("tp", 1)),
             pp=int(d.get("pp", 1)),
             topology=d.get("topology", "ring"),
-            reduce=d.get("reduce", "gather"),
         )
 
 
@@ -160,16 +138,14 @@ class ShardSpec:
     * ``"replicate"`` — every shard holds the full tensor (norm gains,
       embedding);
     * ``"split_out"`` — output channels (rows of the ``(out, in)``
-      weight) slice into ``tp`` contiguous blocks: column-parallel
-      projections, and row-parallel ones under ``reduce="gather"``;
-    * ``"split_in"`` — input columns (the contraction dim) slice:
-      row-parallel projections under ``reduce="sum"``.
+      weight) slice into ``tp`` contiguous blocks: every block
+      projection and the LM head.
     """
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("replicate", "split_out", "split_in"):
+        if self.kind not in ("replicate", "split_out"):
             raise ShardError(f"unknown shard spec kind {self.kind!r}")
 
     def slice_bounds(self, dim_size: int, rank: int, tp: int) -> Tuple[int, int]:
@@ -184,10 +160,11 @@ class ShardSpec:
         return rank * width, (rank + 1) * width
 
 
-#: Column-parallel projections: output dim splits, inputs replicated.
-_COLUMN_PARALLEL = ("q_proj", "k_proj", "v_proj", "gate_proj", "up_proj", "fc1")
-#: Row-parallel projections: contraction dim splits under "sum".
-_ROW_PARALLEL = ("o_proj", "down_proj", "fc2")
+#: Block projections; each splits its output channels over ``tp``.
+_PROJECTIONS = (
+    "q_proj", "k_proj", "v_proj", "o_proj",
+    "gate_proj", "up_proj", "down_proj", "fc1", "fc2",
+)
 
 
 def partition_specs(cfg: ModelConfig, mesh: DeviceMesh) -> Dict[str, ShardSpec]:
@@ -199,7 +176,6 @@ def partition_specs(cfg: ModelConfig, mesh: DeviceMesh) -> Dict[str, ShardSpec]:
     partition time.
     """
     mesh.validate_model(cfg)
-    row_kind = "split_out" if mesh.reduce == "gather" else "split_in"
     specs: Dict[str, ShardSpec] = {
         "embed": ShardSpec("replicate"),
         "final_norm": ShardSpec("replicate"),
@@ -209,8 +185,6 @@ def partition_specs(cfg: ModelConfig, mesh: DeviceMesh) -> Dict[str, ShardSpec]:
         prefix = f"layers.{layer}."
         specs[prefix + "attn_norm"] = ShardSpec("replicate")
         specs[prefix + "mlp_norm"] = ShardSpec("replicate")
-        for name in _COLUMN_PARALLEL:
+        for name in _PROJECTIONS:
             specs[prefix + name] = ShardSpec("split_out")
-        for name in _ROW_PARALLEL:
-            specs[prefix + name] = ShardSpec(row_kind)
     return specs

@@ -3,21 +3,17 @@
 :class:`ShardedCausalLM` *is* a :class:`~repro.models.transformer.CausalLM`
 holding the full weights, a :class:`~repro.shard.mesh.DeviceMesh` and a
 :class:`~repro.shard.collective.Collective` ledger.  It has no forward
-pass of its own; it overrides two methods:
+pass of its own — every projection is the single-device GEMM, so its
+logits are byte-identical to single-device by construction.  It
+overrides one method:
 
-* ``_linear`` — under ``reduce="sum"`` the row-parallel projections
-  (``o_proj``, ``down_proj``/``fc2``) contract per-rank contiguous
-  K-slices and add the partial sums in rank order (Megatron-LM's
-  split-K schedule with a pinned accumulation order: deterministic,
-  token-identical, logits within a few ULP).  Every other projection,
-  and every projection under the default ``reduce="gather"``, is the
-  single-device GEMM — so gather-mode logits are byte-identical to
-  single-device by construction.
 * ``logits`` — runs the forward, then charges one pass of the mesh's
   collectives (:func:`repro.hw.multichip.pass_collectives`) to the
   ledger, the same list the multi-chip simulator prices.
 
-The KV cache is the ordinary whole-model :class:`KVCache`.
+The KV cache is the ordinary whole-model :class:`KVCache`, so prompt
+prefix snapshots (:mod:`repro.serve.prefix`) adopt unchanged; a
+deployed rank would cache its own head slice under the same token key.
 """
 
 from __future__ import annotations
@@ -27,12 +23,11 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.models.config import ModelConfig
-from repro.models.layers import linear
 from repro.models.transformer import CausalLM, KVCache
 from repro.quant.kv import KVQuantConfig
 from repro.shard.collective import Collective
 from repro.shard.errors import ShardError
-from repro.shard.mesh import _ROW_PARALLEL, DeviceMesh
+from repro.shard.mesh import DeviceMesh
 
 __all__ = ["ShardedCausalLM", "check_kv_quant"]
 
@@ -42,8 +37,8 @@ def check_kv_quant(kv_quant: Optional[KVQuantConfig]) -> None:
 
     Per-head scales commute with head partitioning (each head's
     min/max sees the same values on its owning shard as on a single
-    device); a per-tensor scale couples all heads and would make a
-    head-partitioned cache diverge from the single-device one.
+    device); a per-tensor scale couples all heads and would need a
+    cross-rank absmax reduction the collective ledger does not charge.
     """
     if kv_quant is not None and not kv_quant.per_head:
         raise ShardError(
@@ -62,28 +57,12 @@ class ShardedCausalLM(CausalLM):
         config: ModelConfig,
         mesh: DeviceMesh,
         weights: Dict[str, np.ndarray],
-        collective: Optional[Collective] = None,
         seed: int = 0,
     ):
         mesh.validate_model(config)
         super().__init__(config, seed=seed, weights=weights)
         self.mesh = mesh
-        self.collective = collective if collective is not None else Collective(mesh)
-
-    def _linear(self, x: np.ndarray, name: str) -> np.ndarray:
-        tp = self.mesh.tp
-        if (
-            self.mesh.reduce != "sum"
-            or tp == 1
-            or name.rsplit(".", 1)[-1] not in _ROW_PARALLEL
-        ):
-            return super()._linear(x, name)
-        w = self.weights[name]
-        k = w.shape[1] // tp
-        out = linear(x[..., :k], w[:, :k])
-        for r in range(1, tp):  # rank order: the accumulation spec
-            out += linear(x[..., r * k:(r + 1) * k], w[:, r * k:(r + 1) * k])
-        return out
+        self.collective = Collective(mesh)
 
     def logits(
         self, tokens: np.ndarray, cache: Optional[KVCache] = None

@@ -3,23 +3,19 @@
 :func:`slice_packed` slices the *bit-packed DRAM image* itself, so
 :func:`shard_artifact` can emit per-shard sub-artifacts whose blobs
 round-trip through :mod:`repro.serve.artifact` and dequantize to
-exactly the values of the matching slice of the full tensor —
-:meth:`~repro.shard.engine.ShardedEngine.from_shard_set` reassembles
-the full weights from them bit for bit.
+exactly the values of the matching slice of the full tensor;
+:func:`concat_packed` is its inverse, which
+:func:`~repro.shard.artifact.merge_shards` uses to rebuild the full
+artifact from a shard set byte for byte.
 
-Slicing a :class:`~repro.quant.packing.PackedTensor` is exact because
-dequantization is elementwise with per-row scales: an output-channel
-slice takes whole scale rows, and an input-column slice either takes
-whole groups or — when the slice is narrower than a group but divides
-it — *subdivides* every group, repeating its scale/selector/zero per
-sub-group (each element keeps the identical code and scale, so the
-dequantized values cannot change).  Slices that straddle group
-boundaries unevenly raise :class:`~repro.shard.errors.ShardError`.
+Slicing a :class:`~repro.quant.packing.PackedTensor` by output
+channels is exact because dequantization is elementwise with per-row
+scales: a row slice takes whole scale rows and whole groups.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Sequence
 
 import numpy as np
 
@@ -28,147 +24,72 @@ from repro.quant.packing import PackedTensor, pack_bits, unpack_bits
 from repro.shard.errors import ShardError
 from repro.shard.mesh import DeviceMesh, ShardSpec, partition_specs
 
-__all__ = ["slice_packed", "shard_artifact"]
+__all__ = ["concat_packed", "slice_packed", "shard_artifact"]
 
 
-def _group_arrays(p: PackedTensor):
-    """(codes, sf, sv, zeros, per_group_scales) as per-row views."""
-    k, d = p.shape
-    g = p.group_size
-    if d % g:
-        raise ShardError(
-            f"packed tensor {p.shape} has ragged groups "
-            f"(group_size={g}); cannot slice exactly",
-            shape=list(p.shape),
-            group_size=g,
-        )
-    gpc = p.groups_per_channel or (d // g)
-    n_rows = k * gpc
-    codes = unpack_bits(p.element_data, p.bits, n_rows * g).reshape(n_rows, g)
-    return codes, gpc
+def _rows(p: PackedTensor):
+    """Per-row views of ``p``: (codes, sf, channel_scales, sv, zeros)."""
+    k = p.shape[0]
+    codes = unpack_bits(p.element_data, p.bits, p.n_codes).reshape(k, -1)
+
+    def rows(a):
+        return None if a is None else a.reshape(k, -1)
+
+    return (
+        codes,
+        rows(p.sf_codes),
+        rows(p.channel_scales),
+        rows(p.sv_selectors),
+        rows(p.zeros),
+    )
 
 
 def _rebuild(
-    p: PackedTensor,
-    codes: np.ndarray,
-    shape: tuple,
-    group_size: int,
-    gpc: int,
-    sf_codes: np.ndarray,
-    channel_scales: np.ndarray,
-    sv_selectors: Optional[np.ndarray],
-    zeros: Optional[np.ndarray],
+    p: PackedTensor, n_rows: int, codes, sf, channel_scales, sv, zeros
 ) -> PackedTensor:
+    def flat(a):
+        return None if a is None else np.ascontiguousarray(a.reshape(-1))
+
     return PackedTensor(
         dtype_name=p.dtype_name,
         bits=p.bits,
-        shape=shape,
-        group_size=group_size,
+        shape=(n_rows, p.shape[1]),
+        group_size=p.group_size,
         element_data=pack_bits(codes.reshape(-1), p.bits),
-        sf_codes=np.ascontiguousarray(sf_codes.reshape(-1)),
-        channel_scales=np.ascontiguousarray(channel_scales.reshape(-1)),
-        sv_selectors=(
-            None
-            if sv_selectors is None
-            else np.ascontiguousarray(sv_selectors.reshape(-1))
-        ),
-        zeros=None if zeros is None else np.ascontiguousarray(zeros.reshape(-1)),
-        groups_per_channel=gpc,
+        sf_codes=flat(sf),
+        channel_scales=flat(channel_scales),
+        sv_selectors=flat(sv),
+        zeros=flat(zeros),
+        groups_per_channel=p.groups_per_channel,
     )
 
 
-def slice_packed(p: PackedTensor, dim: int, start: int, stop: int) -> PackedTensor:
-    """An exact sub-image of ``p``: ``unpack(slice) == unpack(p)[slice]``.
-
-    ``dim=0`` slices output channels ``[start:stop)`` (whole scale
-    rows); ``dim=1`` slices input columns — whole groups when aligned,
-    otherwise each group is subdivided into ``group_size // width``
-    sub-groups with repeated metadata (exact, since scales apply
-    elementwise).
-    """
-    if dim not in (0, 1):
-        raise ShardError(f"packed tensors are 2-D; cannot slice dim {dim}")
-    k, d = p.shape
-    size = (k, d)[dim]
-    if not (0 <= start < stop <= size):
+def slice_packed(p: PackedTensor, start: int, stop: int) -> PackedTensor:
+    """Output channels ``[start:stop)`` of ``p`` as an exact sub-image:
+    ``unpack(slice_packed(p, a, b)) == unpack(p)[a:b]``."""
+    k = p.shape[0]
+    if not (0 <= start < stop <= k):
         raise ShardError(
-            f"slice [{start}:{stop}) outside dimension of size {size}",
+            f"slice [{start}:{stop}) outside dimension of size {k}",
             start=start,
             stop=stop,
-            size=size,
+            size=k,
         )
-    codes, gpc = _group_arrays(p)
-    g = p.group_size
-    # Asymmetric-integer images store one FP scale per *group* in
-    # channel_scales; everything else stores one per channel.
-    per_group_scales = p.zeros is not None
-    sf = p.sf_codes.reshape(k, gpc)
-    sv = None if p.sv_selectors is None else p.sv_selectors.reshape(k, gpc)
-    zr = None if p.zeros is None else p.zeros.reshape(k, gpc)
-    cs = (
-        p.channel_scales.reshape(k, gpc)
-        if per_group_scales
-        else p.channel_scales.reshape(k)
+    sel = slice(start, stop)
+    return _rebuild(
+        p, stop - start, *(None if a is None else a[sel] for a in _rows(p))
     )
-    codes = codes.reshape(k, gpc, g)
 
-    if dim == 0:
-        sel = slice(start, stop)
-        return _rebuild(
-            p,
-            codes[sel],
-            (stop - start, d),
-            g,
-            gpc,
-            sf[sel],
-            cs[sel],
-            None if sv is None else sv[sel],
-            None if zr is None else zr[sel],
-        )
 
-    width = stop - start
-    if start % g == 0 and stop % g == 0:
-        ga, gb = start // g, stop // g
-        return _rebuild(
-            p,
-            codes[:, ga:gb],
-            (k, width),
-            g,
-            gb - ga,
-            sf[:, ga:gb],
-            cs[:, ga:gb] if per_group_scales else cs,
-            None if sv is None else sv[:, ga:gb],
-            None if zr is None else zr[:, ga:gb],
-        )
-    if g % width == 0 and start % width == 0:
-        # Subdivide every group into sub-groups of the slice width,
-        # repeating its metadata — elementwise-identical dequant —
-        # then take the now-aligned sub-group range.
-        sub = g // width
-        codes = codes.reshape(k, gpc * sub, width)
-        sf = np.repeat(sf, sub, axis=1)
-        sv = None if sv is None else np.repeat(sv, sub, axis=1)
-        zr = None if zr is None else np.repeat(zr, sub, axis=1)
-        ga, gb = start // width, stop // width
-        return _rebuild(
-            p,
-            codes[:, ga:gb],
-            (k, width),
-            width,
-            gb - ga,
-            sf[:, ga:gb],
-            np.repeat(cs, sub, axis=1)[:, ga:gb] if per_group_scales else cs,
-            None if sv is None else sv[:, ga:gb],
-            None if zr is None else zr[:, ga:gb],
-        )
-    raise ShardError(
-        f"slice [{start}:{stop}) is not group-alignable "
-        f"(group_size={g}): neither group-aligned nor an even "
-        "subdivision of a group",
-        start=start,
-        stop=stop,
-        group_size=g,
-    )
+def concat_packed(parts: Sequence[PackedTensor]) -> PackedTensor:
+    """Stack row slices back into one image — the inverse of
+    :func:`slice_packed` over a partition of the output channels."""
+    per_part = [_rows(p) for p in parts]
+    fields = [
+        None if arrays[0] is None else np.concatenate(arrays)
+        for arrays in zip(*per_part)
+    ]
+    return _rebuild(parts[0], sum(p.shape[0] for p in parts), *fields)
 
 
 def _slice_array(
@@ -180,9 +101,8 @@ def _slice_array(
         # 1-D tensors (norm gains) only ever replicate; a split spec
         # on one is a partitioning bug, not a slice.
         raise ShardError(f"cannot split a 1-D tensor with spec {spec.kind}")
-    dim = 0 if spec.kind == "split_out" else 1
-    a, b = spec.slice_bounds(w.shape[dim], rank, tp)
-    return np.ascontiguousarray(w[a:b] if dim == 0 else w[:, a:b])
+    a, b = spec.slice_bounds(w.shape[0], rank, tp)
+    return np.ascontiguousarray(w[a:b])
 
 
 def _owning_stage(name: str, mesh: DeviceMesh, cfg: ModelConfig) -> tuple:
@@ -231,9 +151,8 @@ def shard_artifact(artifact, mesh: DeviceMesh) -> List:
                 if spec.kind == "replicate" or mesh.tp == 1:
                     packed[name] = p
                 else:
-                    dim = 0 if spec.kind == "split_out" else 1
-                    a, b = spec.slice_bounds(p.shape[dim], rank, mesh.tp)
-                    packed[name] = slice_packed(p, dim, a, b)
+                    a, b = spec.slice_bounds(p.shape[0], rank, mesh.tp)
+                    packed[name] = slice_packed(p, a, b)
             for name, w in artifact.raw_weights.items():
                 if stage not in _owning_stage(name, mesh, cfg):
                     continue

@@ -1,22 +1,16 @@
 """The sharding acceptance bar: sharded == single-device, byte for byte.
 
 Parametrized over datatypes, mixed-precision plans, KV quantization,
-1/2/4-shard meshes and pipeline depths, asserting that the sharded
-engine's greedy token streams — and, under the default ``"gather"``
-reduce mode, every logit row — are byte-identical to the single-device
-engine built from the same artifact.  ``"sum"`` mode (classic
-all-reduce with a pinned accumulation order) must stay token-identical
-and deterministic.
-
-Prefix-cache reuse is gated off on sharded engines (snapshots are
-whole-model caches); the gate is tested here, along with the
-equivalence of a sharded run against a prefix-cache-enabled
-single-device run.
+1/2/4-shard meshes and pipeline depths, asserting that a mesh engine's
+greedy token streams and every logit row are byte-identical to the
+single-device engine built from the same artifact — with and without
+prompt-prefix KV reuse.
 """
 
 import numpy as np
 import pytest
 
+from repro.hw.multichip import pass_collectives
 from repro.models import get_model_config
 from repro.models.transformer import CausalLM
 from repro.policy import QuantPlan, layer_names
@@ -25,12 +19,7 @@ from repro.quant.kv import KVQuantConfig
 from repro.serve.artifact import save_artifact
 from repro.serve.engine import GenerationConfig, InferenceEngine
 from repro.serve.prefix import PrefixKVCache
-from repro.shard import (
-    PREFIX_CACHE_UNSUPPORTED,
-    DeviceMesh,
-    ShardError,
-    ShardedEngine,
-)
+from repro.shard import DeviceMesh, ShardError, ShardedCausalLM
 
 GEN = GenerationConfig(max_new_tokens=6)
 MESHES = [
@@ -39,6 +28,10 @@ MESHES = [
     DeviceMesh(tp=4),
     DeviceMesh(tp=2, pp=2),
 ]
+
+
+def _mesh_id(mesh):
+    return f"tp{mesh.tp}pp{mesh.pp}"
 
 
 def _prompt(cfg, n=12, seed=7):
@@ -70,33 +63,18 @@ def uniform_artifacts(tmp_path_factory):
 class TestUniformArtifacts:
     @pytest.mark.parametrize("model", ["opt-1.3b", "llama-2-7b"])
     @pytest.mark.parametrize("dtype", ["int4_sym", "int3_asym", "bitmod_fp4"])
-    @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"tp{m.tp}pp{m.pp}")
+    @pytest.mark.parametrize("mesh", MESHES, ids=_mesh_id)
     def test_gather_mode_byte_identical(self, uniform_artifacts, model, dtype, mesh):
         art = uniform_artifacts(model, dtype)
         cfg = get_model_config(model)
         prompt = _prompt(cfg)
         ref = InferenceEngine.from_artifact(art)
-        sharded = ShardedEngine.from_artifact(art, mesh)
+        sharded = InferenceEngine.from_artifact(art, mesh=mesh)
 
         assert sharded.generate(prompt, GEN).generated == ref.generate(prompt, GEN).generated
         np.testing.assert_array_equal(
             sharded.model.logits(prompt), ref.model.logits(prompt)
         )
-
-    @pytest.mark.parametrize("tp", [2, 4])
-    def test_sum_mode_token_identical_and_deterministic(
-        self, uniform_artifacts, tp
-    ):
-        art = uniform_artifacts("llama-2-7b", "int4_sym")
-        cfg = get_model_config("llama-2-7b")
-        prompt = _prompt(cfg)
-        ref = InferenceEngine.from_artifact(art).generate(prompt, GEN).generated
-        mesh = DeviceMesh(tp=tp, reduce="sum")
-        first = ShardedEngine.from_artifact(art, mesh).generate(prompt, GEN)
-        second = ShardedEngine.from_artifact(art, mesh).generate(prompt, GEN)
-        assert first.generated == ref
-        # Fixed rank-order accumulation: bitwise run-to-run stable.
-        assert second.generated == first.generated
 
     def test_gqa_model_at_tp2(self, tmp_path):
         """GQA head groups (sim_kv_heads=2) shard without straddling."""
@@ -104,7 +82,7 @@ class TestUniformArtifacts:
         cfg = get_model_config("llama-3-8b")
         prompt = _prompt(cfg)
         ref = InferenceEngine.from_artifact(art)
-        sharded = ShardedEngine.from_artifact(art, DeviceMesh(tp=2))
+        sharded = InferenceEngine.from_artifact(art, mesh=DeviceMesh(tp=2))
         assert sharded.generate(prompt, GEN).generated == ref.generate(prompt, GEN).generated
         np.testing.assert_array_equal(
             sharded.model.logits(prompt), ref.model.logits(prompt)
@@ -113,11 +91,11 @@ class TestUniformArtifacts:
     def test_gqa_model_rejects_tp4(self, tmp_path):
         art = _artifact(tmp_path, "llama-3-8b", QuantConfig(dtype="int4_sym"))
         with pytest.raises(ShardError, match="KV heads"):
-            ShardedEngine.from_artifact(art, DeviceMesh(tp=4))
+            InferenceEngine.from_artifact(art, mesh=DeviceMesh(tp=4))
 
 
 class TestKVQuantization:
-    @pytest.mark.parametrize("mesh", MESHES[1:], ids=lambda m: f"tp{m.tp}pp{m.pp}")
+    @pytest.mark.parametrize("mesh", MESHES[1:], ids=_mesh_id)
     def test_per_head_kv_quant_byte_identical(self, tmp_path, mesh):
         """Per-head KV scales commute with head partitioning."""
         kv = KVQuantConfig(bits=8, per_head=True)
@@ -127,7 +105,7 @@ class TestKVQuantization:
         cfg = get_model_config("llama-2-7b")
         prompt = _prompt(cfg)
         ref = InferenceEngine.from_artifact(art)
-        sharded = ShardedEngine.from_artifact(art, mesh)
+        sharded = InferenceEngine.from_artifact(art, mesh=mesh)
         assert (
             sharded.generate(prompt, GEN).generated
             == ref.generate(prompt, GEN).generated
@@ -140,7 +118,7 @@ class TestKVQuantization:
             tmp_path, "opt-1.3b", QuantConfig(dtype="int4_sym"), kv_quant=kv
         )
         with pytest.raises(ShardError, match="per_head"):
-            ShardedEngine.from_artifact(art, DeviceMesh(tp=2))
+            InferenceEngine.from_artifact(art, mesh=DeviceMesh(tp=2))
 
 
 class TestMixedPrecisionPlans:
@@ -161,12 +139,12 @@ class TestMixedPrecisionPlans:
         model = CausalLM(cfg, seed=0)
         return save_artifact(d / "mixed.rpro", model, plan)
 
-    @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"tp{m.tp}pp{m.pp}")
+    @pytest.mark.parametrize("mesh", MESHES, ids=_mesh_id)
     def test_plan_artifact_byte_identical(self, plan_artifact, mesh):
         cfg = get_model_config("opt-1.3b")
         prompt = _prompt(cfg)
         ref = InferenceEngine.from_artifact(plan_artifact)
-        sharded = ShardedEngine.from_artifact(plan_artifact, mesh)
+        sharded = InferenceEngine.from_artifact(plan_artifact, mesh=mesh)
         assert (
             sharded.generate(prompt, GEN).generated
             == ref.generate(prompt, GEN).generated
@@ -176,53 +154,82 @@ class TestMixedPrecisionPlans:
         )
 
 
-class TestPrefixCacheGate:
-    def test_prefix_cache_rejected_with_reason(self, tmp_path):
-        art = _artifact(tmp_path, "opt-1.3b", QuantConfig(dtype="int4_sym"))
-        with pytest.raises(ShardError) as err:
-            ShardedEngine.from_artifact(
-                art, DeviceMesh(tp=2), prefix_cache=PrefixKVCache()
-            )
-        assert str(err.value) == PREFIX_CACHE_UNSUPPORTED
-        assert err.value.to_dict()["error"] == "shard_incompatible"
+class TestPrefixCache:
+    """Prefix KV reuse on a mesh: the whole-model cache snapshot adopts
+    unchanged (a deployed rank would cache its own head slice under
+    the same token key)."""
 
-    def test_matches_prefix_cached_single_device(self, tmp_path):
-        """A sharded run equals a prefix-cache-warmed single-device run
-        (reuse must be invisible in the token stream)."""
-        art = _artifact(tmp_path, "opt-1.3b", QuantConfig(dtype="int4_sym"))
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        art = _artifact(
+            tmp_path_factory.mktemp("prefix"), "opt-1.3b", QuantConfig(dtype="int4_sym")
+        )
         cfg = get_model_config("opt-1.3b")
         rng = np.random.default_rng(3)
         shared = rng.integers(0, cfg.sim_vocab, size=16)
         prompts = [
             np.concatenate([shared, rng.integers(0, cfg.sim_vocab, size=4)])
-            for _ in range(2)
+            for _ in range(4)
         ]
         cached = InferenceEngine.from_artifact(art, prefix_cache=PrefixKVCache())
-        sharded = ShardedEngine.from_artifact(art, DeviceMesh(tp=2))
-        for i, prompt in enumerate(prompts):
-            ref_seq = cached.generate(prompt, GEN)
-            assert sharded.generate(prompt, GEN).generated == ref_seq.generated
-        # The second prompt actually exercised reuse on the reference.
-        assert ref_seq.prefix_hit_tokens > 0
+        return art, prompts, [cached.generate(p, GEN) for p in prompts]
+
+    @pytest.mark.parametrize("mesh", MESHES[1:], ids=_mesh_id)
+    def test_matches_prefix_cached_single_device(self, setup, mesh):
+        art, prompts, ref = setup
+        eng = InferenceEngine.from_artifact(
+            art, prefix_cache=PrefixKVCache(), mesh=mesh
+        )
+        seqs = [eng.generate(p, GEN) for p in prompts]
+        assert [s.generated for s in seqs] == [s.generated for s in ref]
+        assert [s.prefix_hit_tokens for s in seqs] == [
+            s.prefix_hit_tokens for s in ref
+        ]
+        assert sum(s.prefix_hit_tokens for s in seqs) > 0
+
+    @pytest.mark.parametrize("mesh", MESHES[1:], ids=_mesh_id)
+    def test_hit_charges_only_the_tail(self, setup, mesh):
+        """A hit of L tokens on a P-token prompt bills a (P-L)-token pass."""
+        art, prompts, _ref = setup
+        eng = InferenceEngine.from_artifact(
+            art, prefix_cache=PrefixKVCache(), mesh=mesh
+        )
+        eng.prefill(eng.start_sequence(prompts[0], GEN))
+        eng.model.collective.reset()
+        seq = eng.start_sequence(prompts[1], GEN)
+        eng.prefill(seq)
+        hit = seq.prefix_hit_tokens
+        assert hit > 0
+        cfg = eng.model.config
+        tail = pass_collectives(
+            cfg.sim_layers, cfg.sim_hidden, cfg.sim_vocab,
+            prompts[1].size - hit, mesh.tp, mesh.pp,
+        )
+        assert eng.model.collective.snapshot()["total_wire_bytes"] == sum(
+            c.wire_bytes(mesh.topology) for c in tail
+        )
 
 
 class TestEngineSurface:
     def test_inference_engine_from_artifact_dispatches_on_mesh(self, tmp_path):
         art = _artifact(tmp_path, "opt-1.3b", QuantConfig(dtype="int4_sym"))
         eng = InferenceEngine.from_artifact(art, mesh=DeviceMesh(tp=2))
-        assert isinstance(eng, ShardedEngine)
+        assert type(eng) is InferenceEngine
+        assert isinstance(eng.model, ShardedCausalLM)
+        assert eng.model.mesh == DeviceMesh(tp=2)
         # A 1x1 mesh stays single-device.
         eng1 = InferenceEngine.from_artifact(art, mesh=DeviceMesh())
-        assert not isinstance(eng1, ShardedEngine)
+        assert not isinstance(eng1.model, ShardedCausalLM)
 
-    def test_collective_stats_populated(self, tmp_path):
+    def test_collective_ledger_populated(self, tmp_path):
         art = _artifact(tmp_path, "opt-1.3b", QuantConfig(dtype="int4_sym"))
-        eng = ShardedEngine.from_artifact(art, DeviceMesh(tp=2))
+        eng = InferenceEngine.from_artifact(art, mesh=DeviceMesh(tp=2))
         cfg = get_model_config("opt-1.3b")
         eng.generate(_prompt(cfg), GEN)
-        snap = eng.collective_stats()
+        collective = eng.model.collective
+        snap = collective.snapshot()
         assert snap["tp"] == 2
         assert snap["ops"]["all_gather"]["calls"] > 0
         assert snap["total_wire_bytes"] > 0
-        eng.collective.reset()
-        assert eng.collective_stats()["total_wire_bytes"] == 0
+        collective.reset()
+        assert collective.snapshot()["total_wire_bytes"] == 0

@@ -14,7 +14,7 @@ from repro.hw.baselines import make_accelerator
 from repro.hw.multichip import simulate_sharded
 from repro.models import get_model_config
 from repro.models.transformer import CausalLM
-from repro.shard import REDUCE_MODES, DeviceMesh, ShardedCausalLM
+from repro.shard import DeviceMesh, ShardedCausalLM
 
 P = 16
 
@@ -37,12 +37,11 @@ def llama():
     return cfg, CausalLM(cfg, seed=0).weights
 
 
-@pytest.mark.parametrize("reduce", REDUCE_MODES)
 @pytest.mark.parametrize("pp", [1, 2])
 @pytest.mark.parametrize("tp", [2, 4])
-def test_ledger_equals_simulated_interconnect(llama, tp, pp, reduce):
+def test_ledger_equals_simulated_interconnect(llama, tp, pp):
     cfg, weights = llama
-    mesh = DeviceMesh(tp=tp, pp=pp, reduce=reduce)
+    mesh = DeviceMesh(tp=tp, pp=pp)
     model = ShardedCausalLM(cfg, mesh, weights)
     model.logits(np.arange(P) % cfg.sim_vocab)
     snap = model.collective.snapshot()

@@ -16,7 +16,7 @@ class TestDeviceMesh:
     def test_defaults(self):
         mesh = DeviceMesh()
         assert mesh.tp == 1 and mesh.pp == 1
-        assert mesh.topology == "ring" and mesh.reduce == "gather"
+        assert mesh.topology == "ring"
         assert mesh.n_devices == 1
 
     @pytest.mark.parametrize("tp,pp", [(0, 1), (1, 0), (-2, 1)])
@@ -24,14 +24,12 @@ class TestDeviceMesh:
         with pytest.raises(ShardError):
             DeviceMesh(tp=tp, pp=pp)
 
-    def test_rejects_unknown_topology_and_reduce(self):
+    def test_rejects_unknown_topology(self):
         with pytest.raises(ShardError, match="topology"):
             DeviceMesh(topology="torus")
-        with pytest.raises(ShardError, match="reduce"):
-            DeviceMesh(reduce="avg")
 
     def test_round_trip_dict(self):
-        mesh = DeviceMesh(tp=4, pp=2, topology="fully_connected", reduce="sum")
+        mesh = DeviceMesh(tp=4, pp=2, topology="fully_connected")
         assert DeviceMesh.from_dict(mesh.to_dict()) == mesh
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -83,24 +81,19 @@ class TestShardSpec:
 
 class TestPartitionSpecs:
     @pytest.mark.parametrize("model", ["opt-1.3b", "llama-2-7b"])
-    @pytest.mark.parametrize("reduce", ["gather", "sum"])
-    def test_every_weight_resolves(self, model, reduce):
+    def test_every_weight_resolves(self, model):
         """Every tensor the model actually generates has a spec."""
         cfg = get_model_config(model)
         m = CausalLM(cfg, seed=0)
-        specs = partition_specs(cfg, DeviceMesh(tp=2, reduce=reduce))
+        specs = partition_specs(cfg, DeviceMesh(tp=2))
         for name in m.weights:
             assert name in specs, name
 
-    def test_reduce_mode_sets_row_parallel_kind(self):
+    def test_projections_split_output_channels(self):
         cfg = get_model_config("llama-2-7b")
-        gather = partition_specs(cfg, DeviceMesh(tp=2, reduce="gather"))
-        summed = partition_specs(cfg, DeviceMesh(tp=2, reduce="sum"))
-        assert gather["layers.0.down_proj"].kind == "split_out"
-        assert summed["layers.0.down_proj"].kind == "split_in"
-        # Column-parallel stays split_out in both modes.
-        assert gather["layers.0.up_proj"].kind == "split_out"
-        assert summed["layers.0.up_proj"].kind == "split_out"
+        specs = partition_specs(cfg, DeviceMesh(tp=2))
+        for name in ("q_proj", "o_proj", "up_proj", "down_proj"):
+            assert specs["layers.0." + name].kind == "split_out", name
 
     def test_norms_and_embed_replicate(self):
         cfg = get_model_config("opt-1.3b")

@@ -8,13 +8,16 @@ from repro.models.transformer import CausalLM
 from repro.quant.config import QuantConfig
 from repro.serve.artifact import load_artifact, save_artifact
 from repro.serve.engine import GenerationConfig, InferenceEngine
+from repro.serve.artifact import write_artifact
 from repro.shard import (
     DeviceMesh,
+    ShardError,
     ShardTopologyError,
-    ShardedEngine,
     load_sharded_artifact,
+    merge_shards,
     mesh_digest,
     save_sharded_artifact,
+    shard_artifact,
     shard_paths,
 )
 
@@ -47,7 +50,7 @@ class TestRoundTrip:
 
         shards, loaded_mesh = load_sharded_artifact(tmp_path / "set")
         assert loaded_mesh == mesh
-        eng = ShardedEngine.from_shard_set(shards)
+        eng = InferenceEngine.from_artifact(merge_shards(shards), mesh=mesh)
         ref = InferenceEngine.from_artifact(artifact)
         prompt = _prompt()
         assert eng.generate(prompt, GEN).generated == ref.generate(prompt, GEN).generated
@@ -116,6 +119,17 @@ class TestLoadFailures:
         with pytest.raises(ShardTopologyError, match="no shard header"):
             load_sharded_artifact(d)
 
+    def test_header_with_reduce_key_rejected(self, artifact, tmp_path):
+        """Sets written when meshes carried a reduce mode fail loudly."""
+        d = tmp_path / "set"
+        d.mkdir()
+        shards = shard_artifact(artifact, DeviceMesh(tp=2))
+        for sub, path in zip(shards, shard_paths(d, len(shards))):
+            sub.shard_header["mesh"]["reduce"] = "gather"
+            write_artifact(path, sub)
+        with pytest.raises(ShardError, match="unknown mesh keys: reduce"):
+            load_sharded_artifact(d)
+
 
 class TestShardSubArtifacts:
     def test_instantiate_guard(self, artifact, tmp_path):
@@ -124,14 +138,27 @@ class TestShardSubArtifacts:
         with pytest.raises(ValueError, match="shard 0 of 2"):
             sub.instantiate()
 
-    def test_from_shard_set_rejects_bad_sets(self, artifact, tmp_path):
+    def test_shard_set_engine_runs_functional_replay(self, artifact, tmp_path):
+        save_sharded_artifact(tmp_path / "set", artifact, DeviceMesh(tp=2))
+        shards, mesh = load_sharded_artifact(tmp_path / "set")
+        eng = InferenceEngine.from_artifact(merge_shards(shards), mesh=mesh)
+        want = InferenceEngine.from_artifact(artifact)
+        layers = ["layers.0.q_proj", "layers.3.down_proj"]
+        got = eng.functional_replay(2, layers=layers)
+        assert got == want.functional_replay(2, layers=layers)
+        assert [r.layer for r in got] == layers
+
+    def test_merge_shards_rejects_bad_sets(self, artifact):
+        shards = shard_artifact(artifact, DeviceMesh(tp=2))
         with pytest.raises(ShardTopologyError, match="empty"):
-            ShardedEngine.from_shard_set([])
+            merge_shards([])
         with pytest.raises(ShardTopologyError, match="no shard header"):
-            ShardedEngine.from_shard_set([artifact])
-        paths = save_sharded_artifact(tmp_path / "set", artifact, DeviceMesh(tp=2))
-        shards = [load_artifact(p) for p in paths]
-        with pytest.raises(ShardTopologyError, match="out of order"):
-            ShardedEngine.from_shard_set(list(reversed(shards)))
-        with pytest.raises(ShardTopologyError, match="out of order"):
-            ShardedEngine.from_shard_set(shards[:1])
+            merge_shards([shards[0], artifact])
+        foreign = shard_artifact(artifact, DeviceMesh(tp=2, topology="fully_connected"))
+        with pytest.raises(ShardTopologyError, match="different packs"):
+            merge_shards([shards[0], foreign[1]])
+        with pytest.raises(ShardTopologyError) as err:
+            merge_shards(shards[:1])
+        assert err.value.to_dict()["missing"] == [1]
+        # Order does not matter; the validator sorts by shard index.
+        assert merge_shards(shards[::-1]).packed.keys() == artifact.packed.keys()
