@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.hw.baselines import make_accelerator
-from repro.hw.multichip import simulate_sharded
+from repro.hw.simulator import simulate
 from repro.load import PoissonArrivals, SharedPrefixChat, Workload, run_load
 from repro.models import CausalLM, get_model_config
 from repro.models.zoo import get_model_config as _zoo_config
@@ -128,7 +128,7 @@ def test_modeled_interconnect_per_topology():
     for topology in ("ring", "fully_connected"):
         per_shards = {}
         for shards in (2, 4, 8):
-            r = simulate_sharded(
+            r = simulate(
                 cfg, accel, "generative", 4,
                 shards=shards, topology=topology, gen_len=gen_len,
             )

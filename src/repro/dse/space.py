@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.hw.arch import ArchConfig
 from repro.hw.baselines import AREA_BUDGET_UM2, ARRAY_COLS, ISO_AREA_SLACK
 from repro.hw.energy import TileCost, bitmod_pe_tile_cost, fp16_pe_tile_cost
+from repro.hw.multichip import TOPOLOGIES, mesh_error
 
 __all__ = [
     "DatatypeChoice",
@@ -172,8 +173,8 @@ class DesignPoint:
     #: per-layer precisions come out of the solver).
     policy: Optional[PolicyChoice] = None
     #: Tensor-parallel degree: > 1 evaluates the point on a multi-chip
-    #: mesh via :func:`repro.hw.multichip.simulate_sharded`, charging
-    #: interconnect collectives per ``topology``.
+    #: mesh (:func:`repro.hw.simulator.simulate` with ``shards=``),
+    #: charging interconnect collectives per ``topology``.
     shards: int = 1
     topology: str = "ring"
 
@@ -241,8 +242,6 @@ class DesignSpace:
                 f"design space {self.name!r}: shard counts must be >= 1, "
                 f"got {self.shards}"
             )
-        from repro.hw.multichip import TOPOLOGIES
-
         if not self.topologies:
             raise ValueError(f"design space {self.name!r}: no topologies")
         for topo in self.topologies:
@@ -416,37 +415,18 @@ class DesignSpace:
                 )
         return None
 
-    def _shard_reason(self, model: str, shards: int) -> Optional[str]:
-        """Validity of one (model, shard count) pairing; reason or None.
-
-        Mirrors the divisibility constraints of
-        :func:`repro.hw.multichip.simulate_sharded` so invalid meshes
-        are filtered (with a reason) at expansion, not mid-sweep.
-        """
-        if shards == 1:
-            return None
-        from repro.models.zoo import get_model_config
-
-        cfg = get_model_config(model)
-        if cfg.n_heads % shards or cfg.n_kv_heads % shards:
-            return (
-                f"{model}: {cfg.n_heads} heads / {cfg.n_kv_heads} KV heads "
-                f"not divisible by {shards} shards"
-            )
-        if cfg.intermediate % shards or cfg.vocab % shards:
-            return (
-                f"{model}: intermediate {cfg.intermediate} / vocab "
-                f"{cfg.vocab} not divisible by {shards} shards"
-            )
-        return None
-
     # ------------------------------------------------------------------
     def points(self) -> Tuple[List[DesignPoint], List[Tuple[Dict, str]]]:
         """Expand to ``(valid_points, skipped)``.
 
         ``skipped`` pairs each rejected axis combination with its
-        human-readable constraint-violation reason.
+        human-readable constraint-violation reason.  A mesh the model
+        does not split over is skipped with the reason
+        :func:`repro.hw.multichip.mesh_error` gives (the one
+        :func:`repro.hw.simulator.simulate` would raise).
         """
+        from repro.models.zoo import get_model_config
+
         points: List[DesignPoint] = []
         skipped: List[Tuple[Dict, str]] = []
         policies = tuple(
@@ -470,7 +450,7 @@ class DesignSpace:
                     continue
                 for model in self.models:
                     for n_shards, topo in meshes:
-                        reason = self._shard_reason(model, n_shards)
+                        reason = mesh_error(get_model_config(model), n_shards, 1)
                         if reason is not None:
                             skipped.append(
                                 (
@@ -503,7 +483,7 @@ class DesignSpace:
                         )
                         continue
                     for n_shards, topo in meshes:
-                        reason = self._shard_reason(model, n_shards)
+                        reason = mesh_error(get_model_config(model), n_shards, 1)
                         if reason is not None:
                             skipped.append(
                                 (

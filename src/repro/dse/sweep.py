@@ -201,53 +201,20 @@ def _evaluate(
 ) -> dict:
     """Compute one point's record (hardware sim + accuracy join).
 
-    Multi-chip points (``shards > 1``) run the mesh simulator
-    (:func:`repro.hw.multichip.simulate_sharded`), which layers
-    per-topology interconnect time and traffic over the same per-chip
-    model; accuracy cells are shared with the single-chip points —
-    sharded execution is bit-identical, so the perplexity is too.
+    Multi-chip points (``shards > 1``) run the same simulator on a
+    ``shards x 1`` mesh, which adds per-topology interconnect time and
+    traffic to the per-chip model; accuracy cells are shared with the
+    single-chip points — sharded execution is bit-identical, so the
+    perplexity is too.
     """
     cfg = get_model_config(point.model)
-    sharded = point.shards > 1
-    if sharded:
-        from repro.hw.multichip import simulate_sharded, simulate_sharded_plan
-
-        if plan is not None:
-            r = simulate_sharded_plan(
-                cfg,
-                accelerator_for(point),
-                point.task,
-                plan_gemm_bits(plan, cfg),
-                shards=point.shards,
-                topology=point.topology,
-                group_size=point.group_size,
-            )
-        else:
-            r = simulate_sharded(
-                cfg,
-                accelerator_for(point),
-                point.task,
-                point.weight_bits,
-                shards=point.shards,
-                topology=point.topology,
-                group_size=point.group_size,
-            )
-    elif plan is not None:
+    kw = dict(shards=point.shards, topology=point.topology, group_size=point.group_size)
+    if plan is not None:
         r = simulate_plan(
-            cfg,
-            accelerator_for(point),
-            point.task,
-            plan_gemm_bits(plan, cfg),
-            group_size=point.group_size,
+            cfg, accelerator_for(point), point.task, plan_gemm_bits(plan, cfg), **kw
         )
     else:
-        r = simulate(
-            cfg,
-            accelerator_for(point),
-            point.task,
-            point.weight_bits,
-            group_size=point.group_size,
-        )
+        r = simulate(cfg, accelerator_for(point), point.task, point.weight_bits, **kw)
     base = _fp16_baseline(point.model, point.task)
     freq = point.arch.frequency_ghz
     time_ms = r.cycles / (freq * 1e9) * 1e3
@@ -283,13 +250,11 @@ def _evaluate(
             "input_buffer_kb": arch.input_buffer_kb,
         },
         # Multi-chip points pay silicon per device: tp x pp chips.
-        "area_mm2": arch.compute_area_um2() / 1e6 * (point.shards if sharded else 1),
+        "area_mm2": arch.compute_area_um2() / 1e6 * point.shards,
         "shards": point.shards,
-        "topology": point.topology if sharded else None,
-        "interconnect_bytes": r.interconnect_bytes if sharded else 0.0,
-        "interconnect_time_ms": (
-            r.interconnect_cycles / (freq * 1e9) * 1e3 if sharded else 0.0
-        ),
+        "topology": point.topology if point.shards > 1 else None,
+        "interconnect_bytes": r.interconnect_bytes,
+        "interconnect_time_ms": r.interconnect_cycles / (freq * 1e9) * 1e3,
         "cycles": r.cycles,
         "time_ms": time_ms,
         "dram_uj": r.energy.dram_uj,

@@ -16,7 +16,6 @@ from repro.hw.bitserial import (
     fixed_point_decompose,
     terms_for_dtype,
 )
-from repro.hw.dram import Traffic, TrafficModel
 from repro.hw.energy import (
     DRAM_ENERGY_PJ_PER_BYTE,
     EnergyBreakdown,
@@ -29,7 +28,8 @@ from repro.hw.energy import (
 )
 from repro.hw.functional import FunctionalGemm, GemmExecution
 from repro.hw.pe import BatchPEResult, BitMoDPE, PEConfig, PEResult
-from repro.hw.simulator import SimResult, simulate, simulate_workload
+from repro.hw.multichip import LinkSpec
+from repro.hw.simulator import SimResult, simulate, simulate_plan
 from repro.hw.termtable import (
     TermTable,
     decode_packed_terms,
@@ -65,8 +65,6 @@ __all__ = [
     "grid_term_table",
     "term_tables_for_dtype",
     "decode_packed_terms",
-    "Traffic",
-    "TrafficModel",
     "EnergyBreakdown",
     "TileCost",
     "fp16_pe_tile_cost",
@@ -80,5 +78,6 @@ __all__ = [
     "dequant_stalls",
     "SimResult",
     "simulate",
-    "simulate_workload",
+    "simulate_plan",
+    "LinkSpec",
 ]

@@ -15,8 +15,8 @@ forward *is* the single-device one, logits and token streams are
 
 Interconnect cost is modeled, not wished away: the ledger charges the
 collective list of :func:`repro.hw.multichip.pass_collectives`, the
-same list the multi-chip simulator and the :mod:`repro.dse` mesh axis
-price.
+same list :func:`repro.hw.simulator.simulate` and the :mod:`repro.dse`
+mesh axis price.
 """
 
 from repro.shard.artifact import (

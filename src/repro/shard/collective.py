@@ -5,7 +5,8 @@ A :class:`Collective` moves no data: a
 in-process, then calls :meth:`Collective.charge_pass` once per forward
 pass.  The ledger charges exactly the collectives
 :func:`repro.hw.multichip.pass_collectives` lists for the mesh at the
-model's sim shapes — the list the multi-chip simulator prices — so the
+model's sim shapes — the list :func:`repro.hw.simulator.simulate`
+prices on a mesh — so the
 served and the modeled interconnect bill cannot drift apart.
 
 Each op is metered: logical payload bytes (at FP16, the precision a

@@ -9,7 +9,8 @@ overrides one method:
 
 * ``logits`` — runs the forward, then charges one pass of the mesh's
   collectives (:func:`repro.hw.multichip.pass_collectives`) to the
-  ledger, the same list the multi-chip simulator prices.
+  ledger, the same list :func:`repro.hw.simulator.simulate` prices
+  on a mesh.
 
 The KV cache is the ordinary whole-model :class:`KVCache`, so prompt
 prefix snapshots (:mod:`repro.serve.prefix`) adopt unchanged; a

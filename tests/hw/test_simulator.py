@@ -140,28 +140,29 @@ class TestSimulatePlan:
 
 
 class TestTrafficBitsMap:
-    def test_uniform_map_matches_scalar_bits(self, llama):
-        from repro.hw.dram import TrafficModel
+    """Per-GEMM precision maps, read through the DRAM energy."""
 
-        names = [g.name for g in llama.block_gemms(1)] + ["lm_head"]
-        scalar = TrafficModel(llama, weight_bits=4.0, kv_bits=8.0)
-        mapped = TrafficModel(
+    def _names(self, cfg):
+        return [g.name for g in cfg.block_gemms(1)] + ["lm_head"]
+
+    def test_uniform_map_matches_scalar_bits(self, accels, llama):
+        scalar = simulate(llama, accels["bitmod"], "generative", 4.0)
+        mapped = simulate(
             llama,
-            weight_bits=4.0,
-            kv_bits=8.0,
-            weight_bits_map=tuple((n, 4.0) for n in names),
+            accels["bitmod"],
+            "generative",
+            4.0,
+            gemm_bits={n: 4.0 for n in self._names(llama)},
         )
-        assert scalar.pass_traffic(1, 256) == mapped.pass_traffic(1, 256)
+        assert mapped.energy == scalar.energy
+        assert mapped.cycles == scalar.cycles
 
-    def test_partial_map_falls_back(self, llama):
-        from repro.hw.dram import TrafficModel
+    def test_partial_map_falls_back(self, accels, llama):
+        from repro.hw.energy import DRAM_ENERGY_PJ_PER_BYTE
 
-        lean = TrafficModel(
-            llama,
-            weight_bits=16.0,
-            kv_bits=8.0,
-            weight_bits_map=(("lm_head", 4.0),),
+        full = simulate(llama, accels["bitmod"], "discriminative", 16.0)
+        lean = simulate(
+            llama, accels["bitmod"], "discriminative", 16.0, gemm_bits={"lm_head": 4.0}
         )
-        full = TrafficModel(llama, weight_bits=16.0, kv_bits=8.0)
-        saved = full.pass_traffic(1, 256).weight_bytes - lean.pass_traffic(1, 256).weight_bytes
+        saved = (full.energy.dram_uj - lean.energy.dram_uj) * 1e6 / DRAM_ENERGY_PJ_PER_BYTE
         assert saved == pytest.approx(llama.vocab * llama.hidden * 12.0 / 8.0)

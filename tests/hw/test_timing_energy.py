@@ -1,13 +1,13 @@
 """Tests for the timing, energy, DRAM, and accelerator models."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.hw.arch import ArchConfig
 from repro.hw.baselines import AREA_BUDGET_UM2, make_accelerator
-from repro.hw.dram import TrafficModel
 from repro.hw.energy import (
     DRAM_ENERGY_PJ_PER_BYTE,
     EnergyBreakdown,
@@ -17,6 +17,7 @@ from repro.hw.energy import (
     fp16_pe_tile_cost,
     sram_energy_pj_per_byte,
 )
+from repro.hw.simulator import simulate
 from repro.hw.timing import dequant_stalls, gemm_compute_cycles
 from repro.models.config import GEMMShape
 from repro.models.zoo import get_model_config
@@ -109,30 +110,61 @@ class TestEnergy:
 
 
 class TestDram:
+    """DRAM traffic, read through the simulator's DRAM energy."""
+
+    @staticmethod
+    def dram_bytes(cfg, accel, task="discriminative", bits=16, **kw):
+        r = simulate(cfg, accel, task, bits, **kw)
+        return r.energy.dram_uj * 1e6 / DRAM_ENERGY_PJ_PER_BYTE
+
     def test_weight_traffic_scales_with_bits(self):
         cfg = get_model_config("llama-2-7b")
-        t16 = TrafficModel(cfg, 16).pass_traffic(1, 256)
-        t4 = TrafficModel(cfg, 4).pass_traffic(1, 256)
-        ratio = t16.weight_bytes / t4.weight_bytes
-        assert ratio == pytest.approx(4.0, rel=0.01)
+        accel = make_accelerator("bitmod")
+        b16 = self.dram_bytes(cfg, accel, bits=16)
+        b4 = self.dram_bytes(cfg, accel, bits=4)
+        assert b4 < b16
+        # One pass streams every block weight and the LM head once.
+        assert b16 - b4 == pytest.approx(cfg.streamed_weight_elements * 12 / 8)
 
     def test_kv_traffic_grows_with_context(self):
+        """The KV share (traffic at 16-bit minus 8-bit KV) is linear in
+        the context."""
         cfg = get_model_config("llama-2-7b")
-        tm = TrafficModel(cfg, 4)
-        assert tm.pass_traffic(1, 512).kv_bytes > tm.pass_traffic(1, 256).kv_bytes
+        kv8 = make_accelerator("bitmod")
+        kv16 = replace(kv8, kv_bits=16)
+
+        def kv_share(prompt_len):
+            return self.dram_bytes(cfg, kv16, prompt_len=prompt_len) - self.dram_bytes(
+                cfg, kv8, prompt_len=prompt_len
+            )
+
+        assert kv_share(512) > kv_share(256) > 0
+        assert kv_share(512) == pytest.approx(2 * kv_share(256))
 
     def test_generative_dominated_by_weight_refetch(self):
+        """Weight and KV shares are separated by differences: 16-bit
+        weights stream twice the bytes of 16-bit minus 8-bit weights,
+        and likewise for a 16-bit KV cache."""
         cfg = get_model_config("llama-2-7b")
-        tm = TrafficModel(cfg, 16)
-        gen = tm.workload_traffic("generative")
-        disc = tm.workload_traffic("discriminative")
-        assert gen.weight_bytes > 200 * disc.weight_bytes
-        assert gen.weight_bytes > gen.kv_bytes
+        kv8 = make_accelerator("bitmod")
+        kv16 = replace(kv8, kv_bits=16)
+
+        def weight_share(task):
+            return 2 * (
+                self.dram_bytes(cfg, kv16, task, bits=16)
+                - self.dram_bytes(cfg, kv16, task, bits=8)
+            )
+
+        gen_kv = 2 * (
+            self.dram_bytes(cfg, kv16, "generative")
+            - self.dram_bytes(cfg, kv8, "generative")
+        )
+        assert weight_share("generative") > 200 * weight_share("discriminative")
+        assert weight_share("generative") > gen_kv > 0
 
     def test_bad_task(self):
-        tm = TrafficModel(get_model_config("opt-1.3b"))
-        with pytest.raises(ValueError):
-            tm.workload_traffic("training")
+        with pytest.raises(ValueError, match="task must be"):
+            simulate(get_model_config("opt-1.3b"), make_accelerator("fp16"), "training", 16)
 
 
 class TestAccelerators:

@@ -1,8 +1,8 @@
-"""The collective ledger charges what the multi-chip simulator prices.
+"""The collective ledger charges what the simulator prices on a mesh.
 
 One P-token forward pass through a :class:`ShardedCausalLM` must leave
-exactly the wire bytes :func:`simulate_sharded` models for a
-P-token discriminative pass of the same model at its sim shapes.
+exactly the wire bytes :func:`simulate` models for a P-token
+discriminative pass of the same model at its sim shapes.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.hw.baselines import make_accelerator
-from repro.hw.multichip import simulate_sharded
+from repro.hw.simulator import simulate
 from repro.models import get_model_config
 from repro.models.transformer import CausalLM
 from repro.shard import DeviceMesh, ShardedCausalLM
@@ -46,7 +46,7 @@ def test_ledger_equals_simulated_interconnect(llama, tp, pp):
     model.logits(np.arange(P) % cfg.sim_vocab)
     snap = model.collective.snapshot()
 
-    sim = simulate_sharded(
+    sim = simulate(
         _sim_shapes(cfg), make_accelerator("bitmod"), "discriminative", 4,
         shards=tp, stages=pp, prompt_len=P,
     )
