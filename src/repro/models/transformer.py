@@ -5,10 +5,11 @@
 provides:
 
 * ``logits(tokens)`` — a full forward pass;
-* ``prefill(tokens)`` / ``decode_step(tokens, cache)`` — the stateful
-  serving path: run the prompt once, then extend one token at a time
-  against a :class:`KVCache` (optionally quantized via
-  :mod:`repro.quant.kv`) instead of recomputing the whole sequence;
+* ``prefill(tokens)`` / ``decode_step(tokens, caches)`` — the stateful
+  serving path: run the prompt once, then extend a batch of sequences
+  one token each, every sequence against its own :class:`KVCache`
+  (optionally quantized via :mod:`repro.quant.kv`), instead of
+  recomputing the whole sequence;
 * ``named_linears()`` — the quantizable weight matrices, matching the
   convention of the PTQ literature (decoder-block linears only;
   embeddings and the LM head stay FP16);
@@ -23,7 +24,7 @@ RoPE, gated SiLU MLPs, and (Yi / Llama-3) grouped-query attention.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,26 +43,37 @@ from repro.models.layers import (
 from repro.models.synth import generate_model_weights
 from repro.quant.kv import KVQuantConfig, quantize_kv
 
-__all__ = ["CausalLM", "KVCache"]
+__all__ = ["CausalLM", "KVBatch", "KVCache"]
 
 _LN_FAMILIES = ("opt", "phi")
 
 
 class KVCache:
-    """Per-layer key/value cache for incremental decode.
+    """Per-layer key/value cache of one sequence, for incremental decode.
 
     Entries hold the *pre-GQA-broadcast* key/value tensors of shape
-    ``(batch, kv_heads, seq, head_dim)``; the attention layer repeats
-    them to the query head count on use.  With ``quant`` set, every
+    ``(1, kv_heads, seq, head_dim)``; the attention layer repeats them
+    to the query head count on use.  Each layer lives in a buffer of
+    ``capacity`` positions (doubling when a write overflows it), so
+    :meth:`append` writes in place and returns views — the same trick
+    as :meth:`CausalLM._position_tables`.  With ``quant`` set, every
     appended segment is quantized (and stored dequantized) the moment
     it enters the cache — matching a deployment where past KV lives in
     low-precision memory and is never re-quantized.
     """
 
-    def __init__(self, n_layers: int, quant: Optional[KVQuantConfig] = None):
+    def __init__(
+        self,
+        n_layers: int,
+        quant: Optional[KVQuantConfig] = None,
+        capacity: int = 0,
+    ):
         self.quant = quant
+        #: Positions each layer's buffer is first allocated with.
+        self.capacity = capacity
         self._keys: List[Optional[np.ndarray]] = [None] * n_layers
         self._values: List[Optional[np.ndarray]] = [None] * n_layers
+        self._lens: List[int] = [0] * n_layers
 
     @property
     def n_layers(self) -> int:
@@ -70,31 +82,45 @@ class KVCache:
     @property
     def seq_len(self) -> int:
         """Number of cached positions (0 for a fresh cache)."""
-        first = self._keys[0]
-        return 0 if first is None else first.shape[2]
+        return self._lens[0]
 
     def append(
         self, layer: int, k: np.ndarray, v: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Add new-position K/V for ``layer``; return the full tensors."""
+        """Add new-position K/V for ``layer``; return views of the full
+        tensors."""
         if self.quant is not None:
             k = quantize_kv(k, self.quant)
             v = quantize_kv(v, self.quant)
-        if self._keys[layer] is None:
-            self._keys[layer] = k
-            self._values[layer] = v
-        else:
-            self._keys[layer] = np.concatenate([self._keys[layer], k], axis=2)
-            self._values[layer] = np.concatenate([self._values[layer], v], axis=2)
-        return self._keys[layer], self._values[layer]
+        start = self._lens[layer]
+        end = start + k.shape[2]
+        if self._keys[layer] is None or end > self._keys[layer].shape[2]:
+            self._keys[layer] = self._grown(self._keys[layer], start, k, end)
+            self._values[layer] = self._grown(self._values[layer], start, v, end)
+        self._keys[layer][:, :, start:end] = k
+        self._values[layer][:, :, start:end] = v
+        self._lens[layer] = end
+        return self._keys[layer][:, :, :end], self._values[layer][:, :, :end]
+
+    def _grown(
+        self, buf: Optional[np.ndarray], used: int, new: np.ndarray, needed: int
+    ) -> np.ndarray:
+        """A fresh buffer holding ``buf``'s first ``used`` positions."""
+        held = 0 if buf is None else buf.shape[2]
+        size = max(needed, self.capacity, 2 * held)
+        grown = np.empty(new.shape[:2] + (size,) + new.shape[3:], dtype=new.dtype)
+        if used:
+            grown[:, :, :used] = buf[:, :, :used]
+        return grown
 
     @property
     def memory_bytes(self) -> int:
-        """Cache footprint at the stored (post-quantization) precision."""
+        """Footprint of the stored positions (not the reserved
+        capacity) at the stored (post-quantization) precision."""
         bits = 16 if self.quant is None else self.quant.bits
         elements = sum(
-            k.size + v.size
-            for k, v in zip(self._keys, self._values)
+            2 * k[:, :, :n].size
+            for k, n in zip(self._keys, self._lens)
             if k is not None
         )
         return elements * bits // 8
@@ -120,18 +146,58 @@ class KVCache:
         cls,
         pairs: List[Tuple[np.ndarray, np.ndarray]],
         quant: Optional[KVQuantConfig] = None,
+        capacity: int = 0,
     ) -> "KVCache":
         """A cache pre-seeded with snapshotted prefix K/V.
 
-        The snapshot arrays are adopted by reference, never mutated:
-        :meth:`append` always *concatenates into fresh arrays*, so one
-        snapshot can seed any number of caches concurrently.
+        The snapshot arrays are adopted by reference, never written:
+        each fills its layer's buffer exactly, so the first
+        :meth:`append` moves the layer into a fresh buffer of
+        ``capacity`` positions.  One snapshot can therefore seed any
+        number of caches concurrently.
         """
-        cache = cls(len(pairs), quant=quant)
+        cache = cls(len(pairs), quant=quant, capacity=capacity)
         for layer, (k, v) in enumerate(pairs):
             cache._keys[layer] = k
             cache._values[layer] = v
+            cache._lens[layer] = k.shape[2]
         return cache
+
+
+class KVBatch:
+    """The per-sequence caches one batched forward pass extends.
+
+    Row ``b`` of the pass's tokens continues ``caches[b]``; contexts
+    may differ in length.  ``seq_len`` is the longest context and
+    ``memory_bytes`` the sum over the batch.
+    """
+
+    def __init__(self, caches: Sequence[KVCache]):
+        self.caches = list(caches)
+        if not self.caches:
+            raise ValueError("a KV batch needs at least one cache")
+        if len({id(c) for c in self.caches}) != len(self.caches):
+            raise ValueError("a KV cache appears twice in one batch")
+
+    @property
+    def seq_len(self) -> int:
+        return max(c.seq_len for c in self.caches)
+
+    @property
+    def memory_bytes(self) -> int:
+        return sum(c.memory_bytes for c in self.caches)
+
+
+def _attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, past_len: int
+) -> np.ndarray:
+    """Causal attention with the key/value heads broadcast to the query
+    head count (grouped-query attention)."""
+    rep = q.shape[1] // k.shape[1]
+    if rep != 1:
+        k = np.repeat(k, rep, axis=1)
+        v = np.repeat(v, rep, axis=1)
+    return causal_attention(q, k, v, past_len=past_len)
 
 
 class CausalLM:
@@ -151,9 +217,14 @@ class CausalLM:
         #: symmetric — the SmoothQuant INT8-activation mode.
         self.act_quant_bits: Optional[int] = None
 
-    def _maybe_quant_act(self, x: np.ndarray) -> np.ndarray:
+    def _maybe_quant_act(self, x: np.ndarray, per_seq: bool = False) -> np.ndarray:
+        """SmoothQuant-style activation quantization.  ``per_seq``
+        scales each row of the batch on its own, so a batched decode
+        step quantizes every sequence exactly as a solo step would."""
         if self.act_quant_bits is None:
             return x
+        if per_seq and len(x) > 1:
+            return np.stack([self._maybe_quant_act(row) for row in x])
         qmax = 2 ** (self.act_quant_bits - 1) - 1
         absmax = float(np.max(np.abs(x)))
         if absmax == 0.0:
@@ -219,7 +290,7 @@ class CausalLM:
         self,
         tokens: np.ndarray,
         collect: bool = False,
-        cache: Optional[KVCache] = None,
+        cache: Union[KVCache, KVBatch, None] = None,
     ):
         """Run the decoder stack; return final hidden states.
 
@@ -229,7 +300,13 @@ class CausalLM:
         With ``cache`` set, ``tokens`` are treated as *new* positions
         following the cached context: attention reads the cached K/V,
         the new K/V are appended, and only the new positions are
-        computed — the incremental prefill/decode path.
+        computed — the incremental prefill/decode path.  A
+        :class:`KVCache` extends one sequence; a :class:`KVBatch`
+        extends one sequence per token row, each against its own
+        cache.  Norms, MLPs and residuals run once over all rows, every
+        projection is a per-row product (numpy's stacked matmul over
+        ``(rows, seq, features)``) and attention runs per sequence, so
+        a row's logits do not depend on the other rows.
         """
         if collect and cache is not None:
             raise ValueError("calibration collection needs a full forward pass")
@@ -242,15 +319,24 @@ class CausalLM:
         h = cfg.sim_hidden
         n_heads, n_kv = cfg.sim_heads, cfg.sim_kv_heads
         head_dim = cfg.sim_head_dim()
-        past = cache.seq_len if cache is not None else 0
-        total = past + seq
+        caches = None
+        if cache is not None:
+            caches = cache.caches if isinstance(cache, KVBatch) else [cache]
+            if len(caches) != batch:
+                raise ValueError(
+                    f"{batch} token rows for {len(caches)} KV caches "
+                    "(each cached row needs its own cache)"
+                )
+        per_seq = caches is not None
+        starts = np.array([c.seq_len for c in caches] if per_seq else [0])
+        positions = starts[:, None] + np.arange(seq)
 
         x = w["embed"][tokens] * np.sqrt(h)
-        tables = self._position_tables(total)
+        tables = self._position_tables(int(positions.max()) + 1)
         if self._use_rope:
-            cos, sin = tables[0][past:total], tables[1][past:total]
+            cos, sin = tables[0][positions][:, None], tables[1][positions][:, None]
         else:
-            x = x + tables[0][None, past:total]
+            x = x + tables[0][positions]
 
         acts: Dict[str, np.ndarray] = {}
 
@@ -261,7 +347,7 @@ class CausalLM:
         for layer in range(cfg.sim_layers):
             p = f"layers.{layer}."
             # --- attention ---
-            xn = self._maybe_quant_act(self._norm(x, w[p + "attn_norm"]))
+            xn = self._maybe_quant_act(self._norm(x, w[p + "attn_norm"]), per_seq)
             record(p + "q_proj", xn)
             record(p + "k_proj", xn)
             record(p + "v_proj", xn)
@@ -274,31 +360,31 @@ class CausalLM:
             if self._use_rope:
                 q = apply_rope(q, cos, sin)
                 k = apply_rope(k, cos, sin)
-            if cache is not None:
-                k, v = cache.append(layer, k, v)
-            if n_kv != n_heads:
-                rep = n_heads // n_kv
-                k = np.repeat(k, rep, axis=1)
-                v = np.repeat(v, rep, axis=1)
-            attn = causal_attention(q, k, v, past_len=past)
+            if caches is None:
+                attn = _attend(q, k, v, past_len=0)
+            else:
+                attn = np.empty_like(q)
+                for b, c in enumerate(caches):
+                    kb, vb = c.append(layer, k[b : b + 1], v[b : b + 1])
+                    attn[b : b + 1] = _attend(q[b : b + 1], kb, vb, int(starts[b]))
             attn = attn.transpose(0, 2, 1, 3).reshape(batch, seq, h)
-            attn = self._maybe_quant_act(attn)
+            attn = self._maybe_quant_act(attn, per_seq)
             record(p + "o_proj", attn)
             x = x + linear(attn, w[p + "o_proj"])
 
             # --- MLP ---
-            xn = self._maybe_quant_act(self._norm(x, w[p + "mlp_norm"]))
+            xn = self._maybe_quant_act(self._norm(x, w[p + "mlp_norm"]), per_seq)
             if cfg.gated_mlp:
                 record(p + "gate_proj", xn)
                 record(p + "up_proj", xn)
                 gate = silu(linear(xn, w[p + "gate_proj"]))
                 up = linear(xn, w[p + "up_proj"])
-                inner = self._maybe_quant_act(gate * up)
+                inner = self._maybe_quant_act(gate * up, per_seq)
                 record(p + "down_proj", inner)
                 x = x + linear(inner, w[p + "down_proj"])
             else:
                 record(p + "fc1", xn)
-                inner = self._maybe_quant_act(gelu(linear(xn, w[p + "fc1"])))
+                inner = self._maybe_quant_act(gelu(linear(xn, w[p + "fc1"])), per_seq)
                 record(p + "fc2", inner)
                 x = x + linear(inner, w[p + "fc2"])
 
@@ -308,12 +394,12 @@ class CausalLM:
         return x
 
     def logits(
-        self, tokens: np.ndarray, cache: Optional[KVCache] = None
+        self, tokens: np.ndarray, cache: Union[KVCache, KVBatch, None] = None
     ) -> np.ndarray:
         """Vocabulary logits, shape ``(batch, seq, vocab)``.
 
         With ``cache`` set, ``seq`` covers only the new positions
-        (incremental decode); the cache is updated in place.
+        (incremental prefill/decode); the caches are updated in place.
         """
         x = self.hidden_states(tokens, cache=cache)
         return linear(x, self.weights["lm_head"])
@@ -325,23 +411,27 @@ class CausalLM:
         self,
         tokens: np.ndarray,
         kv_quant: Optional[KVQuantConfig] = None,
+        capacity: int = 0,
     ) -> Tuple[np.ndarray, KVCache]:
-        """Run the prompt once, filling a fresh :class:`KVCache`.
+        """Run one prompt, filling a fresh :class:`KVCache` whose
+        buffers reserve ``capacity`` positions up front.
 
         Returns ``(logits, cache)`` where ``logits`` covers every
         prompt position (so the caller can sample the first generated
         token from the last row).
         """
-        cache = KVCache(self.config.sim_layers, quant=kv_quant)
+        cache = KVCache(self.config.sim_layers, quant=kv_quant, capacity=capacity)
         return self.logits(tokens, cache=cache), cache
 
-    def decode_step(self, tokens: np.ndarray, cache: KVCache) -> np.ndarray:
+    def decode_step(self, tokens: np.ndarray, caches: Sequence[KVCache]) -> np.ndarray:
         """Logits for one new token per sequence, shape ``(batch, vocab)``.
 
         ``tokens`` holds the single newest token of each sequence
-        (shape ``(batch,)`` or ``(batch, 1)``); the cache provides all
-        earlier context, so the cost per step is O(1) forwards instead
-        of re-running the full sequence.
+        (shape ``(batch,)`` or ``(batch, 1)``) and ``caches`` each
+        sequence's own :class:`KVCache`; contexts may differ in
+        length.  The caches provide all earlier context, so a step
+        costs one single-position forward pass for the whole batch,
+        and each row is bit-identical to decoding its sequence alone.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim == 0:
@@ -350,7 +440,7 @@ class CausalLM:
             tokens = tokens[:, None]
         if tokens.shape[1] != 1:
             raise ValueError("decode_step consumes exactly one new token per sequence")
-        return self.logits(tokens, cache=cache)[:, -1]
+        return self.logits(tokens, cache=KVBatch(caches))[:, -1]
 
     def collect_activations(self, tokens: np.ndarray) -> Dict[str, np.ndarray]:
         """Input activations of every block linear (calibration data)."""

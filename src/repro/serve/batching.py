@@ -2,11 +2,12 @@
 
 The scheduler follows the vLLM iteration model: every :meth:`step`
 spends a ``max_batch_tokens`` budget, decoding each running sequence
-(one token apiece) first and admitting waiting prompts into the batch
-with whatever budget remains.  Sequences join and leave the batch at
-step granularity — a finished request frees its slot immediately, and
-a newly admitted one starts decoding on the very next step, so the
-batch never drains to refill (the "continuous" part).
+(one token apiece, all in one batched engine call — Orca's
+iteration-level batching) first and admitting waiting prompts into
+the batch with whatever budget remains.  Sequences join and leave the
+batch at step granularity — a finished request frees its slot
+immediately, and a newly admitted one starts decoding on the very next
+step, so the batch never drains to refill (the "continuous" part).
 
 Requests carry an SLO *tier* (:data:`SLO_TIERS`: ``interactive`` >
 ``standard`` > ``batch``).  The scheduler is strict-priority across
@@ -262,38 +263,32 @@ class ContinuousBatcher:
             # Decode pass: one token per running sequence, highest SLO
             # tier first so a scarce budget never starves
             # latency-critical decodes behind batch work.  Within one
-            # tier the deque rotates so the budget round-robins fairly
+            # tier the queue rotates so the budget round-robins fairly
             # instead of starving the tail.
-            classes: Dict[int, Deque[RequestState]] = {}
+            classes: Dict[int, List[RequestState]] = {}
             for state in self._running:
-                classes.setdefault(state.priority, deque()).append(state)
-            self._running = deque()
+                classes.setdefault(state.priority, []).append(state)
+            tiers = []
+            picked: List[RequestState] = []
             for priority in sorted(classes, reverse=True):
-                tier_queue = classes[priority]
+                queue = classes[priority]
+                take = min(budget, len(queue))
+                budget -= take
+                picked.extend(queue[:take])
+                tiers.append((queue[:take], queue[take:]))
+            self._decode(picked, traced)
+            self._running = deque()
+            for decoded, skipped in tiers:
                 still_running: Deque[RequestState] = deque()
-                cut = False
-                for _ in range(len(tier_queue)):
-                    state = tier_queue.popleft()
-                    if budget < 1:
-                        still_running.append(state)
-                        cut = True
-                        continue
-                    budget -= 1
-                    with (
-                        TRACER.span("serve.decode", request=state.request_id)
-                        if traced
-                        else NOOP_SPAN
-                    ):
-                        if faults.enabled():
-                            faults.fire("serve.decode", request=state.request_id)
-                        (state.engine or self.engine).decode(state.seq)
+                for state in decoded:
                     report.decoded.append(state.request_id)
                     report.decode_tokens += 1
                     if state.seq.done:
                         self._finish(state, report)
                     else:
                         still_running.append(state)
-                if cut and still_running:
+                still_running.extend(skipped)
+                if skipped and still_running:
                     still_running.rotate(-1)
                 self._running.extend(still_running)
 
@@ -344,6 +339,24 @@ class ContinuousBatcher:
                     expired=len(report.expired),
                 )
             return report
+
+    def _decode(self, picked: List[RequestState], traced: bool) -> None:
+        """One batched decode call per engine over ``picked``, in order.
+
+        A request pins the engine it started on, so after a hot swap
+        the step can span two engines; each samples its own rows in
+        pick order, keeping seeded sampling's RNG draws unchanged.
+        """
+        by_engine: Dict[int, List[RequestState]] = {}
+        for state in picked:
+            by_engine.setdefault(id(state.engine or self.engine), []).append(state)
+        for group in by_engine.values():
+            ids = [state.request_id for state in group]
+            with TRACER.span("serve.decode", requests=ids) if traced else NOOP_SPAN:
+                if faults.enabled():
+                    for rid in ids:
+                        faults.fire("serve.decode", request=rid)
+                (group[0].engine or self.engine).decode([s.seq for s in group])
 
     def run_until_idle(self, max_steps: int = 100_000) -> List[StepReport]:
         """Drive :meth:`step` until every request completes."""

@@ -7,14 +7,16 @@ mesh) and advances independent sequences through it.  Each sequence
 carries its own :class:`~repro.models.transformer.KVCache`, so a
 decode step costs a single-position forward pass — O(1) in the
 generated length — where the monolithic ``CausalLM.logits`` path
-recomputes the whole sequence every token.
+recomputes the whole sequence every token.  :meth:`InferenceEngine.decode`
+advances a whole batch of sequences in one such pass; each sequence's
+tokens are bit-identical to decoding it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,13 +185,18 @@ class InferenceEngine:
             raise RuntimeError("sequence already prefilled")
         share = self.prefix_cache if self.kv_quant is None else None
         hit = share.lookup(seq.prompt) if share is not None else None
+        # Every position this sequence will ever cache: serving never
+        # regrows its KV buffers.
+        capacity = seq.prompt.size + seq.generation.max_new_tokens
         if hit is not None:
             length, snapshot = hit
-            cache = KVCache.from_snapshot(snapshot)
+            cache = KVCache.from_snapshot(snapshot, capacity=capacity)
             logits = self.model.logits(seq.prompt[length:], cache=cache)
             seq.prefix_hit_tokens = length
         else:
-            logits, cache = self.model.prefill(seq.prompt, kv_quant=self.kv_quant)
+            logits, cache = self.model.prefill(
+                seq.prompt, kv_quant=self.kv_quant, capacity=capacity
+            )
         seq.cache = cache
         if share is not None:
             share.insert(seq.prompt, cache)
@@ -197,18 +204,34 @@ class InferenceEngine:
         seq.generated.append(token)
         return token
 
-    def decode(self, seq: SequenceState) -> int:
-        """Extend the sequence by one token through the KV cache."""
-        if not seq.prefilled:
-            raise RuntimeError("prefill before decoding")
-        if seq.done:
-            raise RuntimeError("sequence already finished")
-        if seq.cache is None:
-            raise RuntimeError("sequence KV cache was released")
-        row = self.model.decode_step(np.array([seq.last_token]), seq.cache)[0]
-        token = self._sample(row, seq.generation.temperature)
-        seq.generated.append(token)
-        return token
+    def decode(self, seqs: Sequence[SequenceState]) -> List[int]:
+        """Extend every sequence by one token in one batched forward pass.
+
+        Tokens are sampled in ``seqs`` order, so seeded sampling draws
+        from the engine's RNG exactly as decoding them one by one in
+        that order would.  The whole batch is validated first: a bad
+        sequence raises before any cache is touched.
+        """
+        seen = set()
+        for seq in seqs:
+            if not seq.prefilled:
+                raise RuntimeError("prefill before decoding")
+            if seq.done:
+                raise RuntimeError("sequence already finished")
+            if seq.cache is None:
+                raise RuntimeError("sequence KV cache was released")
+            if id(seq) in seen:
+                raise ValueError("a sequence appears twice in one decode batch")
+            seen.add(id(seq))
+        rows = self.model.decode_step(
+            np.array([seq.last_token for seq in seqs]), [seq.cache for seq in seqs]
+        )
+        tokens = []
+        for seq, row in zip(seqs, rows):
+            token = self._sample(row, seq.generation.temperature)
+            seq.generated.append(token)
+            tokens.append(token)
+        return tokens
 
     def generate(
         self, prompt: np.ndarray, generation: GenerationConfig = GenerationConfig()
@@ -217,7 +240,7 @@ class InferenceEngine:
         seq = self.start_sequence(prompt, generation)
         self.prefill(seq)
         while not seq.done:
-            self.decode(seq)
+            self.decode([seq])
         return seq
 
     def _sample(self, logits_row: np.ndarray, temperature: float) -> int:

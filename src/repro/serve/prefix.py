@@ -20,9 +20,10 @@ Correctness contract
     change the stored values, not just their rounding.
 
 Memory
-    Entries hold copied slices and share nothing with live sequences
-    (:meth:`KVCache.append` concatenates into fresh arrays, so adopted
-    snapshot arrays are never written).  The cache is a byte-budgeted
+    Entries hold copied slices and share nothing with live sequences:
+    :meth:`KVCache.from_snapshot` adopts a snapshot that fills each
+    layer exactly, so the sequence's first in-place append moves it
+    into a buffer of its own and the stored arrays are never written.  The cache is a byte-budgeted
     LRU like the kernel decode cache: ``$REPRO_PREFIX_CACHE_MB``
     (default 64) bounds it, oversize prefixes pass through uncached,
     and hit/miss/insert/eviction counts mirror into :mod:`repro.obs`

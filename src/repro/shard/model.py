@@ -10,7 +10,9 @@ overrides one method:
 * ``logits`` — runs the forward, then charges one pass of the mesh's
   collectives (:func:`repro.hw.multichip.pass_collectives`) to the
   ledger, the same list :func:`repro.hw.simulator.simulate` prices
-  on a mesh.
+  on a mesh.  A batched decode step is one pass over its B token
+  positions, so it charges the payload of B solo steps in 1/B of the
+  calls.
 
 The KV cache is the ordinary whole-model :class:`KVCache`, so prompt
 prefix snapshots (:mod:`repro.serve.prefix`) adopt unchanged; a
@@ -19,12 +21,12 @@ deployed rank would cache its own head slice under the same token key.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.models.config import ModelConfig
-from repro.models.transformer import CausalLM, KVCache
+from repro.models.transformer import CausalLM, KVBatch, KVCache
 from repro.quant.kv import KVQuantConfig
 from repro.shard.collective import Collective
 from repro.shard.errors import ShardError
@@ -66,7 +68,7 @@ class ShardedCausalLM(CausalLM):
         self.collective = Collective(mesh)
 
     def logits(
-        self, tokens: np.ndarray, cache: Optional[KVCache] = None
+        self, tokens: np.ndarray, cache: Union[KVCache, KVBatch, None] = None
     ) -> np.ndarray:
         out = super().logits(tokens, cache=cache)
         self.collective.charge_pass(self.config, out.shape[0] * out.shape[1])

@@ -129,5 +129,5 @@ class TestPositionTables:
         model = CausalLM(get_model_config("opt-1.3b"), seed=0)
         _, cache = model.prefill(np.arange(8))
         table = model._position_tables(9)[0]
-        model.decode_step(np.array([3]), cache)
+        model.decode_step(np.array([3]), [cache])
         assert model._position_tables(10)[0] is table

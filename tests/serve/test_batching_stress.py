@@ -46,8 +46,9 @@ class FakeEngine:
         seq.cache = _PREFILLED
         seq.generated.append(_token(int(seq.prompt.sum()), 0))
 
-    def decode(self, seq):
-        seq.generated.append(_token(int(seq.prompt.sum()), len(seq.generated)))
+    def decode(self, seqs):
+        for seq in seqs:
+            seq.generated.append(_token(int(seq.prompt.sum()), len(seq.generated)))
 
 
 def expected_stream(prompt, max_new):

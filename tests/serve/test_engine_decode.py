@@ -19,7 +19,7 @@ def _incremental_rows(model, prompt, continuation, kv_quant=None):
     logits, cache = model.prefill(prompt, kv_quant=kv_quant)
     rows = [logits[0, -1]]
     for tok in continuation:
-        rows.append(model.decode_step(np.array([tok]), cache)[0])
+        rows.append(model.decode_step(np.array([tok]), [cache])[0])
     return np.stack(rows), cache
 
 
@@ -58,16 +58,28 @@ class TestDecodeMatchesFullForward:
             )
 
     def test_batched_decode(self, model):
-        """decode_step handles several independent sequences at once."""
+        """decode_step advances several independent sequences at once,
+        each against its own cache, with ragged context lengths."""
         rng = np.random.default_rng(1)
-        prompts = rng.integers(0, model.config.sim_vocab, size=(3, 8))
-        logits, cache = model.prefill(prompts)
+        prompts = [rng.integers(0, model.config.sim_vocab, size=n) for n in (8, 3, 13)]
+        caches = [model.prefill(p)[1] for p in prompts]
         next_tokens = rng.integers(0, model.config.sim_vocab, size=3)
-        rows = model.decode_step(next_tokens, cache)
+        rows = model.decode_step(next_tokens, caches)
         assert rows.shape == (3, model.config.sim_vocab)
-        for b in range(3):
-            full = model.logits(np.concatenate([prompts[b], next_tokens[b : b + 1]]))
+        for b, prompt in enumerate(prompts):
+            full = model.logits(np.concatenate([prompt, next_tokens[b : b + 1]]))
             np.testing.assert_allclose(rows[b], full[0, -1], rtol=1e-8, atol=1e-8)
+            assert caches[b].seq_len == len(prompt) + 1
+
+    def test_one_cache_per_sequence(self, model):
+        """A cache extends one sequence: a multi-row prompt into one
+        cache, or one cache twice in a decode batch, is refused."""
+        with pytest.raises(ValueError, match="own cache"):
+            model.prefill(np.zeros((2, 4), dtype=np.int64))
+        _, cache = model.prefill(np.arange(4))
+        with pytest.raises(ValueError, match="twice"):
+            model.decode_step(np.array([1, 2]), [cache, cache])
+        assert cache.seq_len == 4
 
 
 class TestQuantizedKVCache:
@@ -98,6 +110,16 @@ class TestQuantizedKVCache:
         _, fp = _incremental_rows(model, prompt, [])
         _, q8 = _incremental_rows(model, prompt, [], kv_quant=KVQuantConfig(bits=8))
         assert q8.memory_bytes * 2 == fp.memory_bytes
+
+    def test_memory_counts_stored_positions(self, model):
+        """Reserved capacity is not footprint: a cache sized for 64
+        positions holding 16 reports the same bytes as an exact one."""
+        prompt = np.arange(16)
+        _, exact = model.prefill(prompt)
+        _, reserved = model.prefill(prompt, capacity=64)
+        assert reserved.memory_bytes == exact.memory_bytes > 0
+        model.decode_step(np.array([3]), [reserved])
+        assert reserved.memory_bytes == exact.memory_bytes * 17 // 16
 
     def test_collect_rejects_cache(self, model):
         with pytest.raises(ValueError):
@@ -148,14 +170,44 @@ class TestEngine:
         with pytest.raises(ValueError):
             engine.start_sequence(np.array([model.config.sim_vocab + 1]))
 
+    def test_bad_batch_leaves_every_cache_unmodified(self, model):
+        """decode validates the whole batch before computing: a bad
+        member raises and no sequence in the batch moves."""
+        engine = InferenceEngine(model)
+        gen = GenerationConfig(max_new_tokens=4)
+        good = [engine.start_sequence(np.arange(3 + i), gen) for i in range(2)]
+        for seq in good:
+            engine.prefill(seq)
+        fresh = engine.start_sequence(np.arange(5), gen)
+        done = engine.start_sequence(np.arange(5), GenerationConfig(max_new_tokens=1))
+        released = engine.start_sequence(np.arange(5), gen)
+        for seq in (done, released):
+            engine.prefill(seq)
+        released.cache = None
+        before = [(s.cache.snapshot(s.cache.seq_len), list(s.generated)) for s in good]
+        for bad, match in (
+            (fresh, "prefill before decoding"),
+            (done, "already finished"),
+            (released, "released"),
+            (good[0], "twice"),
+        ):
+            with pytest.raises((RuntimeError, ValueError), match=match):
+                engine.decode(good + [bad])
+            for seq, (snap, generated) in zip(good, before):
+                assert seq.generated == generated
+                assert seq.cache.seq_len == snap[0][0].shape[2]
+                for (k, v), (k0, v0) in zip(seq.cache.snapshot(seq.cache.seq_len), snap):
+                    assert k.tobytes() == k0.tobytes() and v.tobytes() == v0.tobytes()
+        assert engine.decode(good) == [s.generated[-1] for s in good]
+
     def test_lifecycle_errors(self, model):
         engine = InferenceEngine(model)
         seq = engine.start_sequence(np.arange(4), GenerationConfig(max_new_tokens=1))
         with pytest.raises(RuntimeError):
-            engine.decode(seq)  # decode before prefill
+            engine.decode([seq])  # decode before prefill
         engine.prefill(seq)
         with pytest.raises(RuntimeError):
             engine.prefill(seq)  # double prefill
         assert seq.done
         with pytest.raises(RuntimeError):
-            engine.decode(seq)  # decode after completion
+            engine.decode([seq])  # decode after completion

@@ -181,13 +181,36 @@ class TestEngineIntegration:
             seq = shared.start_sequence(prompt, gen)
             shared.prefill(seq)
             while not seq.done:
-                shared.decode(seq)
+                shared.decode([seq])
             assert seq.generated == baseline
             reused += seq.prefix_hit_tokens
         stats = shared.prefix_cache.stats()
         assert stats["hits"] >= len(prompts) - 1
         # Later requests actually skipped prefill work.
         assert reused >= 48 * (len(prompts) - 1)
+
+    def test_stored_snapshot_never_written(self, small_model_config):
+        """Two sequences seeded from one stored prefix decode past it
+        together (in-place appends into their own buffers); the stored
+        entry stays byte-identical."""
+        engine = InferenceEngine(
+            CausalLM(small_model_config, seed=0), prefix_cache=PrefixKVCache()
+        )
+        prefix = np.arange(32, dtype=np.int64)
+        gen = GenerationConfig(max_new_tokens=6)
+        engine.prefill(engine.start_sequence(np.concatenate([prefix, [40]]), gen))
+        _, stored = engine.prefix_cache.lookup(np.concatenate([prefix, [0]]))
+        before = [(k.tobytes(), v.tobytes()) for k, v in stored]
+        seqs = [
+            engine.start_sequence(np.concatenate([prefix, tail]), gen)
+            for tail in ([50, 51], [60])
+        ]
+        for seq in seqs:
+            engine.prefill(seq)
+            assert seq.prefix_hit_tokens == 32
+        while not seqs[0].done:
+            engine.decode(seqs)
+        assert [(k.tobytes(), v.tobytes()) for k, v in stored] == before
 
     def test_prefix_hit_tokens_recorded(self, small_model_config):
         engine = InferenceEngine(

@@ -153,4 +153,4 @@ class TestKVRelease:
         with pytest.raises(RuntimeError, match="already prefilled"):
             engine.prefill(state.seq)
         with pytest.raises(RuntimeError, match="released"):
-            engine.decode(state.seq)
+            engine.decode([state.seq])

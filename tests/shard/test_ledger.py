@@ -70,3 +70,24 @@ def test_ledger_tp2_prefill_bytes(llama):
     model = ShardedCausalLM(cfg, DeviceMesh(tp=2), weights)
     model.logits(np.arange(P) % cfg.sim_vocab)
     assert model.collective.snapshot()["total_wire_bytes"] == 196_608
+
+
+def test_batched_decode_step_is_one_pass(llama):
+    """A decode step over B sequences is one pass of B token positions:
+    the payload of B solo steps in 1/B of the calls."""
+    cfg, weights = llama
+    prompts = [np.arange(n) % cfg.sim_vocab for n in (5, 9, 12)]
+    tokens = np.array([7, 8, 9])
+    solo = ShardedCausalLM(cfg, DeviceMesh(tp=2, pp=2), weights)
+    batched = ShardedCausalLM(cfg, DeviceMesh(tp=2, pp=2), weights)
+    solo_caches = [solo.prefill(p)[1] for p in prompts]
+    batched_caches = [batched.prefill(p)[1] for p in prompts]
+    solo.collective.reset()
+    batched.collective.reset()
+    for tok, cache in zip(tokens, solo_caches):
+        solo.decode_step(np.array([tok]), [cache])
+    batched.decode_step(tokens, batched_caches)
+    one, many = batched.collective.snapshot()["ops"], solo.collective.snapshot()["ops"]
+    for op in ("all_reduce", "all_gather", "send"):
+        assert one[op]["payload_bytes"] == many[op]["payload_bytes"] > 0
+        assert one[op]["calls"] * len(prompts) == many[op]["calls"]
