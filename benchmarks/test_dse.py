@@ -1,4 +1,4 @@
-"""Benchmarks of the design-space exploration engine: cold vs warm.
+"""Perf gate of the design-space exploration engine: warm ≥ 10× cold.
 
 Runs the flagship ``paper-pareto`` preset (360 design points, >= 200
 required) against an empty cache and then against the populated one:
@@ -8,34 +8,23 @@ required) against an empty cache and then against the populated one:
 * **warm** — pure content-addressed JSON replay of the point records
   (the accuracy cells are never even consulted).
 
-The warm rerun must beat the cold sweep by >= 10x (the ISSUE 4
-acceptance bar).  Numbers land in ``BENCH_dse.json`` following the
-``BENCH_kernels.json`` convention; ``BENCH_QUICK=1`` switches to the
-small ``smoke`` preset for CI.
+The warm rerun must beat the cold sweep by >= 10x.  Sweep cost per
+point is recorded by perfbench
+(``python3 perfbench/run.py --workload offline-repro``).
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from repro.dse.pareto import pareto_front
 from repro.dse.space import get_preset
 from repro.dse.sweep import run_sweep
 from repro.pipeline import Engine
 from repro.pipeline.store import CacheStore
 
-_RESULTS_PATH = Path(__file__).parent / "BENCH_dse.json"
-_QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-_results = {"quick_mode": _QUICK}
-
-_MIN_POINTS = 16 if _QUICK else 200
-_PRESET = "smoke" if _QUICK else "paper-pareto"
+_MIN_POINTS = 200
 
 
 def test_sweep_cold_vs_warm(tmp_path):
-    space = get_preset(_PRESET, quick=True)
+    space = get_preset("paper-pareto", quick=True)
 
     from repro.pipeline.context import clear_context
 
@@ -62,41 +51,3 @@ def test_sweep_cold_vs_warm(tmp_path):
         f"warm DSE replay must be >= 10x faster than the cold sweep "
         f"(cold {cold_s:.2f}s, warm {warm_s:.2f}s)"
     )
-
-    front = pareto_front(cold.records, ("ppl", "edp"), ("min", "min"))
-    _results["sweep"] = {
-        "preset": _PRESET,
-        "points": len(cold.records),
-        "skipped": len(cold.skipped),
-        "frontier_points": len(front),
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": cold_s / warm_s,
-        "cold_points_per_s": len(cold.records) / cold_s,
-        "warm_points_per_s": len(warm.records) / warm_s,
-    }
-
-
-def test_pareto_filter_throughput():
-    """Frontier extraction over a synthetic 2k-point cloud."""
-    n = 2000
-    records = [
-        {"ppl": 5.0 + (i * 7919 % 1000) / 100.0, "edp": (i * 104729 % 997) / 10.0}
-        for i in range(n)
-    ]
-    t0 = time.perf_counter()
-    front = pareto_front(records, ("ppl", "edp"), ("min", "min"))
-    elapsed = time.perf_counter() - t0
-    assert 0 < len(front) < n
-    _results["pareto_filter"] = {
-        "points": n,
-        "frontier_points": len(front),
-        "seconds": elapsed,
-        "points_per_s": n / elapsed,
-    }
-
-
-def test_zz_write_results():
-    """Persist the collected numbers (runs last by name)."""
-    assert len(_results) > 1, "no DSE benchmarks recorded"
-    _RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")

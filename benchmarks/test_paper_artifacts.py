@@ -1,8 +1,8 @@
-"""One benchmark per paper table/figure.
+"""One test per paper table/figure.
 
-``pytest benchmarks/ --benchmark-only`` regenerates every artifact of
-the evaluation section (quick mode) and prints each reproduced table,
-so the benchmark log doubles as the reproduction record.
+``pytest benchmarks/test_paper_artifacts.py -s`` regenerates every
+artifact of the evaluation section (quick mode) and prints each
+reproduced table, so the test log doubles as the reproduction record.
 """
 
 import pytest
@@ -15,8 +15,8 @@ _QUICK = True
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_regenerate(experiment, run_once):
-    result = run_once(run_experiment, experiment, _QUICK)
+def test_regenerate(experiment):
+    result = run_experiment(experiment, _QUICK)
     assert result.rows, f"{experiment} produced no rows"
     print()
     print(result)

@@ -1,22 +1,19 @@
-"""Benchmarks of the experiment pipeline: cold vs warm cell throughput.
+"""Perf gates of the experiment pipeline: warm cache replay beats cold.
 
-Measures the engine on a small but real (model × datatype) grid:
+Runs the engine on a small but real (model × datatype) grid:
 
 * **cold** — empty cache, every cell computed (models built, logits,
   quantization, KL divergence),
 * **warm** — same grid against the populated cache: pure content-
-  addressed JSON reads,
-* **packed cache** — serve-layer artifact packing, cold vs cached.
+  addressed JSON reads, which must finish faster than the cold run,
+* **packed cache** — serve-layer artifact packing is served from the
+  cache on the second call.
 
-Numbers are persisted to ``BENCH_pipeline.json`` (the
-``BENCH_kernels.json`` convention) so the cold/warm ratio and cache
-hit rates are tracked PR over PR.  ``BENCH_QUICK=1`` shrinks the grid.
+Cold-run wall time and packing cost are recorded by perfbench
+(``python3 perfbench/run.py --workload offline-repro``).
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.models.transformer import CausalLM
 from repro.models.zoo import get_model_config
@@ -25,27 +22,18 @@ from repro.pipeline.store import CacheStore
 from repro.quant.config import QuantConfig
 from repro.serve.artifact import pack_model
 
-_RESULTS_PATH = Path(__file__).parent / "BENCH_pipeline.json"
-_QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-_results = {"quick_mode": _QUICK}
-
-
-def _grid() -> CellGrid:
-    dtypes = ("int4_asym", "bitmod_fp4") if _QUICK else (
-        "int4_asym", "bitmod_fp4", "bitmod_fp3", "mx_fp4",
-    )
-    models = ("opt-1.3b",) if _QUICK else ("opt-1.3b", "llama-2-7b")
-    return CellGrid(
-        rows=tuple((dt, QuantConfig(dtype=dt)) for dt in dtypes),
-        models=models,
-        datasets=("wikitext",),
-    )
+_GRID = CellGrid(
+    rows=tuple(
+        (dt, QuantConfig(dtype=dt))
+        for dt in ("int4_asym", "bitmod_fp4", "bitmod_fp3", "mx_fp4")
+    ),
+    models=("opt-1.3b", "llama-2-7b"),
+    datasets=("wikitext",),
+)
 
 
 def test_cell_grid_cold_vs_warm(tmp_path):
-    grid = _grid()
-    n_cells = len(grid.specs())
+    n_cells = len(_GRID.specs())
 
     # Cold: the per-process context is also cold (fresh models).
     from repro.pipeline.context import clear_context
@@ -53,7 +41,7 @@ def test_cell_grid_cold_vs_warm(tmp_path):
     clear_context()
     cold_engine = Engine(store=CacheStore(tmp_path))
     t0 = time.perf_counter()
-    cold = cold_engine.run_grid(grid)
+    cold = cold_engine.run_grid(_GRID)
     cold_s = time.perf_counter() - t0
     assert cold_engine.computed == n_cells
 
@@ -61,7 +49,7 @@ def test_cell_grid_cold_vs_warm(tmp_path):
     clear_context()
     warm_engine = Engine(store=CacheStore(tmp_path))
     t0 = time.perf_counter()
-    warm = warm_engine.run_grid(grid)
+    warm = warm_engine.run_grid(_GRID)
     warm_s = time.perf_counter() - t0
 
     assert warm == cold
@@ -69,43 +57,16 @@ def test_cell_grid_cold_vs_warm(tmp_path):
     assert warm_engine.store.stats()["hit_rate"] == 1.0
     assert warm_s < cold_s, "warm cache replay should beat cold compute"
 
-    _results["cell_grid"] = {
-        "cells": n_cells,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": cold_s / warm_s,
-        "cold_cells_per_s": n_cells / cold_s,
-        "warm_cells_per_s": n_cells / warm_s,
-        "warm_hit_rate": warm_engine.store.stats()["hit_rate"],
-    }
-
 
 def test_packed_weight_cache(tmp_path):
     model = CausalLM(get_model_config("opt-1.3b"), seed=0)
     cfg = QuantConfig(dtype="bitmod_fp4")
     store = CacheStore(tmp_path)
 
-    t0 = time.perf_counter()
     packed, _ = pack_model(model, cfg, store=store)
-    cold_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     packed2, _ = pack_model(model, cfg, store=store)
-    warm_s = time.perf_counter() - t0
 
     assert store.hits == len(packed)
     assert {n: p.element_data for n, p in packed.items()} == {
         n: p.element_data for n, p in packed2.items()
     }
-    _results["packed_weights"] = {
-        "tensors": len(packed),
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": cold_s / warm_s,
-    }
-
-
-def test_zz_write_results():
-    """Persist the collected numbers (runs last by name)."""
-    assert len(_results) > 1, "no pipeline benchmarks recorded"
-    _RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")

@@ -12,9 +12,8 @@ against an empty cache and then against the populated one:
 
 The warm rerun must beat the cold sweep, and the resulting
 memory-vs-perplexity frontier must be monotone (the ISSUE 5
-acceptance bar).  Numbers land in ``BENCH_policy.json`` following the
-``BENCH_dse.json`` convention; ``BENCH_QUICK=1`` trims to three
-budgets for CI.
+acceptance bar).  Numbers land in ``BENCH_policy.json`` next to this
+file; ``BENCH_QUICK=1`` trims to three budgets for CI.
 """
 
 import json

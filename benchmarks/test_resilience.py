@@ -19,6 +19,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.pipeline import CellGrid, Engine
 from repro.pipeline.context import clear_context
 from repro.pipeline.store import CacheStore, _payload_digest
@@ -47,46 +49,57 @@ def _ns_per_call(fn, n):
     return (time.perf_counter_ns() - t0) / n
 
 
-def test_disabled_fault_hook_cost():
+@pytest.fixture(scope="module")
+def per_call_ns(tmp_path_factory):
+    """Per-call cost, in ns, of each clean-path resilience primitive."""
     faults.clear_fault_plan()
     os.environ.pop("REPRO_FAULTS", None)
     assert not faults.enabled()
 
     per_enabled_ns = _ns_per_call(faults.enabled, _MICRO_N)
     per_fire_ns = _ns_per_call(lambda: faults.fire("bench.site"), _MICRO_N)
+    per_digest_ns = _ns_per_call(lambda: _payload_digest(_PAYLOAD), _MICRO_N)
+
+    n_appends = 2_000 if _QUICK else 10_000
+    path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+    with RunJournal(path) as j:
+        per_append_ns = _ns_per_call(
+            lambda: j.append({"event": "cells", "keys": ["k" * 16]}), n_appends
+        )
 
     _results["micro"] = {
         "disabled_enabled_ns": per_enabled_ns,
         "disabled_fire_ns": per_fire_ns,
         "iterations": _MICRO_N,
     }
-    # A disabled hook is one global load and a None check; it must stay
-    # far under a microsecond even on a loaded CI machine.
-    assert per_enabled_ns < 5_000
-    assert per_fire_ns < 5_000
-
-
-def test_envelope_and_journal_cost(tmp_path):
-    per_digest_ns = _ns_per_call(lambda: _payload_digest(_PAYLOAD), _MICRO_N)
-
-    n_appends = 2_000 if _QUICK else 10_000
-    with RunJournal(tmp_path / "journal.jsonl") as j:
-        per_append_ns = _ns_per_call(
-            lambda: j.append({"event": "cells", "keys": ["k" * 16]}), n_appends
-        )
-
     _results["micro_io"] = {
         "envelope_digest_ns": per_digest_ns,
         "journal_append_ns": per_append_ns,
         "append_iterations": n_appends,
     }
-    assert per_digest_ns < 50_000
+    return {
+        "enabled": per_enabled_ns,
+        "fire": per_fire_ns,
+        "digest": per_digest_ns,
+        "append": per_append_ns,
+    }
+
+
+def test_disabled_fault_hook_cost(per_call_ns):
+    # A disabled hook is one global load and a None check; it must stay
+    # far under a microsecond even on a loaded CI machine.
+    assert per_call_ns["enabled"] < 5_000
+    assert per_call_ns["fire"] < 5_000
+
+
+def test_envelope_and_journal_cost(per_call_ns):
+    assert per_call_ns["digest"] < 50_000
     # One flushed line per completed work unit; milliseconds would
     # show up on real sweeps, microseconds do not.
-    assert per_append_ns < 1_000_000
+    assert per_call_ns["append"] < 1_000_000
 
 
-def test_clean_path_overhead_under_2_percent(tmp_path):
+def test_clean_path_overhead_under_2_percent(tmp_path, per_call_ns):
     grid = CellGrid(
         rows=tuple(
             (dt, QuantConfig(dtype=dt)) for dt in ("int4_asym", "bitmod_fp4")
@@ -111,13 +124,10 @@ def test_clean_path_overhead_under_2_percent(tmp_path):
     # read-back, and the journal appends actually written.
     n_puts = n_cells
     n_journal = len(RunJournal(tmp_path / "journal.jsonl").records())
-    guard_ns = _results["micro"]["disabled_fire_ns"]
-    digest_ns = _results["micro_io"]["envelope_digest_ns"]
-    append_ns = _results["micro_io"]["journal_append_ns"]
     est_ns = (
-        (n_cells + n_puts) * guard_ns
-        + 2 * n_puts * digest_ns
-        + n_journal * append_ns
+        (n_cells + n_puts) * per_call_ns["fire"]
+        + 2 * n_puts * per_call_ns["digest"]
+        + n_journal * per_call_ns["append"]
     )
     est_overhead = est_ns / wall_ns
 

@@ -1,14 +1,12 @@
-"""Serving-path benchmarks: decode throughput and scheduler capacity.
+"""Serving-path perf gate: incremental KV-cache decode beats full forwards.
 
-Times the two claims the serving subsystem makes — incremental
-KV-cache decode beats repeated full forwards, and the continuous
-batcher sustains multi-request throughput — and writes the measured
-numbers to ``BENCH_serve.json`` next to this file.
+Serving throughput and latency are recorded by perfbench
+(``python3 perfbench/run.py``); this module keeps only the gate that
+the incremental decode path is faster than recomputing the whole
+sequence per token, on the same greedy stream.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,20 +14,14 @@ import pytest
 from repro.models import CausalLM, get_model_config
 from repro.quant import QuantConfig
 from repro.serve import (
-    ContinuousBatcher,
     GenerationConfig,
     InferenceEngine,
-    Request,
-    hardware_report,
     load_artifact,
     save_artifact,
 )
 
-_RESULTS_PATH = Path(__file__).parent / "BENCH_serve.json"
 _PROMPT_LEN = 48
 _GEN_LEN = 48
-
-_results = {}
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +42,7 @@ def _decode_full_forward(model, prompt, n_tokens):
     return tokens[len(prompt):]
 
 
-def test_incremental_vs_full_forward_decode(run_once, engine):
+def test_incremental_vs_full_forward_decode(engine):
     """Incremental KV-cache decode must beat per-token full forwards."""
     prompt = np.arange(_PROMPT_LEN) % engine.model.config.sim_vocab
     gen_cfg = GenerationConfig(max_new_tokens=_GEN_LEN)
@@ -60,67 +52,8 @@ def test_incremental_vs_full_forward_decode(run_once, engine):
     full_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    seq = run_once(engine.generate, prompt, gen_cfg)
+    seq = engine.generate(prompt, gen_cfg)
     incr_s = time.perf_counter() - t0
 
     assert seq.generated == slow_tokens  # same greedy stream
     assert incr_s < full_s, "KV-cache decode slower than full forwards"
-    _results["incremental_decode"] = {
-        "prompt_len": _PROMPT_LEN,
-        "gen_len": _GEN_LEN,
-        "full_forward_s": full_s,
-        "incremental_s": incr_s,
-        "speedup": full_s / incr_s,
-        "decode_tokens_per_s": _GEN_LEN / incr_s,
-    }
-
-
-def test_batch_scheduler_throughput(engine):
-    """Continuous batching over 16 staggered requests."""
-    batcher = ContinuousBatcher(engine, max_batch_tokens=128)
-    rng = np.random.default_rng(0)
-    n_requests = 16
-    t0 = time.perf_counter()
-    for rid in range(n_requests):
-        batcher.submit(
-            Request(
-                request_id=rid,
-                prompt=rng.integers(0, 2048, size=int(rng.integers(8, 32))),
-                generation=GenerationConfig(max_new_tokens=16),
-                submitted_at=time.monotonic(),
-            )
-        )
-    batcher.run_until_idle()
-    wall_s = time.perf_counter() - t0
-    m = batcher.metrics
-    assert m.completed == n_requests
-    _results["batch_scheduler"] = {
-        "n_requests": n_requests,
-        "max_batch_tokens": batcher.max_batch_tokens,
-        "wall_s": wall_s,
-        "generated_tokens": m.decode_tokens,
-        "generated_tokens_per_s": m.decode_tokens / wall_s,
-        "total_tokens_per_s": m.total_tokens / wall_s,
-        "ttft_p95_s": m.ttft.percentile(95),
-        "latency_p95_s": m.latency.percentile(95),
-    }
-
-
-def test_modeled_hardware_cost(engine):
-    """Accelerator-modeled energy for a reference request mix."""
-    from repro.serve import RequestTrace
-
-    traces = [RequestTrace(prompt_len=_PROMPT_LEN, gen_len=_GEN_LEN)] * 8
-    report = hardware_report("opt-1.3b", traces, weight_bits=4.125)
-    _results["modeled_hardware"] = {
-        "accelerator": report.accelerator,
-        "weight_bits": report.weight_bits,
-        "energy_per_request_uj": report.energy_per_request_uj,
-        "time_per_request_ms": report.total_time_ms / report.n_requests,
-    }
-
-
-def test_zz_write_results():
-    """Persist the collected numbers (runs last by name)."""
-    assert _results, "no serving benchmarks ran"
-    _RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")

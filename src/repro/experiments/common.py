@@ -2,8 +2,8 @@
 
 Every experiment module exposes ``run(quick=False) -> ExperimentResult``
 and ``main()`` which prints the paper-style table.  ``quick=True``
-trims the model list / item counts so the pytest-benchmark harness can
-regenerate every table in reasonable time.
+trims the model list / item counts so the test suite can regenerate
+every table in reasonable time.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Trace-driven load generation and SLO evaluation for the serve path.
+"""Trace-driven load generation for the serve path.
 
 The serving claims in the reproduction — continuous batching keeps
 tail latency bounded, admission control sheds instead of collapsing,
@@ -16,12 +16,12 @@ harness, layered the way the serving papers slice it:
 ``harness``
     The asyncio driver: replays a workload against a live
     :class:`~repro.serve.server.ServeServer`, records every outcome
-    (completed/shed/expired/error), polls live metrics snapshots, and
-    rolls everything into a BENCH-shaped summary with a zero-lost
-    accounting invariant.
-``report``
-    SLO targets/policies evaluated against summaries, plus the ASCII
-    report block for CI logs.
+    (completed/shed/expired/error), and rolls everything into a
+    summary dict with a zero-lost accounting invariant.
+
+Serving latency and throughput under load are recorded by perfbench
+(``python3 perfbench/run.py``), which builds its traces from
+:class:`Workload`.
 """
 
 from repro.load.arrivals import (
@@ -32,13 +32,6 @@ from repro.load.arrivals import (
     from_spec,
 )
 from repro.load.harness import LoadResult, RequestRecord, drive, run_load
-from repro.load.report import (
-    SLOPolicy,
-    SLOTarget,
-    SLOVerdict,
-    default_policy,
-    format_report,
-)
 from repro.load.traffic import (
     LongDocSummarization,
     MixedTraffic,
@@ -64,9 +57,4 @@ __all__ = [
     "run_load",
     "LoadResult",
     "RequestRecord",
-    "SLOTarget",
-    "SLOVerdict",
-    "SLOPolicy",
-    "default_policy",
-    "format_report",
 ]

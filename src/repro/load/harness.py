@@ -15,12 +15,9 @@ outcome is recorded, including the structured failures:
 * ``"error"`` — anything else (kept, never swallowed: the summary
   re-raises visibility by counting it, and the record holds the repr).
 
-While the trace plays, the driver polls
-:meth:`~repro.serve.server.ServeServer.metrics_snapshot` every
-``poll_every_s`` — the live, non-destructive metrics view — so a run
-leaves a time series of queue depth and in-flight counts next to the
-final numbers.  :meth:`LoadResult.summary` folds everything into the
-BENCH-shaped dict the benchmark suite writes out, with a hard
+When the trace is done, the driver takes one
+:meth:`~repro.serve.server.ServeServer.metrics_snapshot`.
+:meth:`LoadResult.summary` folds everything into one dict, with a hard
 ``lost`` accounting check: every submitted request must come back as
 completed, shed, expired, or errored.
 """
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.serve.errors import DeadlineExceeded, Overloaded
@@ -65,7 +62,6 @@ class LoadResult:
 
     records: List[RequestRecord]
     metrics: Dict
-    snapshots: List[Dict] = field(default_factory=list)
     prefix_stats: Optional[Dict] = None
     wall_s: float = 0.0
     workload: Optional[Dict] = None
@@ -97,7 +93,7 @@ class LoadResult:
         )
 
     def summary(self) -> Dict:
-        """The BENCH-shaped rollup of this run."""
+        """The rollup of this run."""
         n = len(self.records)
         done = self.by_outcome("completed")
         ttft = LatencyStats([r.ttft_s for r in done if r.ttft_s is not None])
@@ -170,11 +166,7 @@ async def _fire(
     return record
 
 
-async def drive(
-    server: ServeServer,
-    workload: Workload,
-    poll_every_s: float = 0.25,
-) -> LoadResult:
+async def drive(server: ServeServer, workload: Workload) -> LoadResult:
     """Replay ``workload`` against a started ``server``.
 
     The server must already be running (``await server.start()``); the
@@ -187,25 +179,7 @@ async def drive(
         asyncio.create_task(_fire(server, spec, i, start))
         for i, spec in enumerate(trace)
     ]
-
-    snapshots: List[Dict] = []
-
-    async def poll() -> None:
-        while True:
-            await asyncio.sleep(poll_every_s)
-            snap = server.metrics_snapshot()
-            snap["t_s"] = time.monotonic() - start
-            snapshots.append(snap)
-
-    poller = asyncio.create_task(poll())
-    try:
-        records = list(await asyncio.gather(*tasks))
-    finally:
-        poller.cancel()
-        try:
-            await poller
-        except asyncio.CancelledError:
-            pass
+    records = list(await asyncio.gather(*tasks))
     wall_s = time.monotonic() - start
 
     engine = server.batcher.engine
@@ -215,19 +189,13 @@ async def drive(
     return LoadResult(
         records=records,
         metrics=server.metrics_snapshot(),
-        snapshots=snapshots,
         prefix_stats=prefix_stats,
         wall_s=wall_s,
         workload=workload.describe(),
     )
 
 
-def run_load(
-    engine,
-    workload: Workload,
-    poll_every_s: float = 0.25,
-    **server_kwargs,
-) -> LoadResult:
+def run_load(engine, workload: Workload, **server_kwargs) -> LoadResult:
     """Synchronous one-call path: build a server, drive, tear down.
 
     ``server_kwargs`` pass through to
@@ -239,7 +207,7 @@ def run_load(
         server = ServeServer(engine, **server_kwargs)
         await server.start()
         try:
-            return await drive(server, workload, poll_every_s=poll_every_s)
+            return await drive(server, workload)
         finally:
             await server.stop()
 

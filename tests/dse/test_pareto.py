@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.dse.pareto import dominates, pareto_front, pareto_indices
@@ -76,6 +77,27 @@ class TestParetoIndices:
     def test_input_order_preserved(self):
         rows = [(2.0, 1.0), (1.0, 2.0)]
         assert pareto_indices(rows, ("min", "min")) == [0, 1]
+
+
+class TestParetoOracle:
+    """pareto_indices agrees with the brute-force definition of the
+    frontier on random rows with ties."""
+
+    @pytest.mark.parametrize(
+        "senses", [("min", "min"), ("min", "max"), ("max", "min", "min")]
+    )
+    def test_matches_brute_force(self, senses):
+        rng = np.random.default_rng(len(senses) * 7 + senses.count("max"))
+        rows = [
+            tuple(float(v) for v in r)
+            for r in np.round(rng.random((200, len(senses))), 1)
+        ]
+        expected = [
+            i for i, a in enumerate(rows)
+            if not any(dominates(b, a, senses) for b in rows)
+        ]
+        assert pareto_indices(rows, senses) == expected
+        assert 0 < len(expected) < len(rows)
 
 
 class TestParetoFront:

@@ -61,6 +61,14 @@ class TestGroupDot:
         int8_terms = [booth_encode(3, 8)] * 128
         assert pe.group_dot(int8_terms, acts).cycles == 128
 
+    def test_int6_group_cycles(self, rng):
+        """6-bit Booth (3 terms) over 128 lanes: 96 cycles."""
+        pe = BitMoDPE()
+        codes = rng.integers(-31, 32, size=128)
+        acts = rng.standard_normal(128).astype(np.float16)
+        terms = [booth_encode(int(c), 6) for c in codes]
+        assert pe.group_dot(terms, acts).cycles == 96
+
     def test_zero_weights_give_zero(self, rng):
         pe = BitMoDPE()
         acts = rng.standard_normal(8).astype(np.float16)
@@ -124,6 +132,19 @@ class TestBatchedDatapath:
         batch = pe.group_dot_batch(*self._term_arrays(terms), acts[None, :])
         assert int(batch.mantissa[0, 0]) == scalar.mantissa
         assert int(batch.exponent[0, 0]) == scalar.exponent
+
+    def test_int6_tile_cycles(self, rng):
+        """An (8, 64) tile of 6-bit group dots: 96 cycles per call."""
+        from repro.hw.termtable import integer_term_table
+
+        pe = BitMoDPE()
+        table = integer_term_table(6)
+        codes = rng.integers(0, table.n_codes, size=(64, 128))
+        sign, exp, man, bsig = table.lookup(codes)
+        acts = rng.standard_normal((8, 128)).astype(np.float16)
+        res = pe.group_dot_batch(sign, exp, man, bsig, acts)
+        assert res.cycles == 96
+        assert res.mantissa.shape == (8, 64)
 
     def test_dequantize_batch_bit_identical(self, rng):
         from repro.hw.pe import BatchPEResult

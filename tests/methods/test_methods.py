@@ -99,6 +99,16 @@ class TestGPTQ:
         out = GPTQ(cfg).quantize_weight(name, w, x)
         assert out.shape == w.shape and np.isfinite(out).all()
 
+    def test_output_stays_on_group_grid(self, model, calib):
+        """Error feedback moves weights between grid points, never off
+        the grid: each 128-wide int3 group holds at most 8 values."""
+        name, w, x = _layer(model, calib)
+        out = GPTQ(QuantConfig(dtype="int3_asym")).quantize_weight(name, w, x)
+        groups = out.reshape(w.shape[0], -1, 128)
+        assert max(
+            len(np.unique(g)) for row in groups for g in row
+        ) <= 8
+
 
 class TestOmniQuant:
     def test_no_worse_than_rtn(self, model, calib):

@@ -8,14 +8,14 @@ from repro.quant.config import QuantConfig, quantize_tensor
 from repro.quant.errors import mse, nmse
 
 
+_ALL_DTYPES = [
+    "int4_sym", "int4_asym", "fp4", "fp3", "flint4", "ant4",
+    "bitmod_fp4", "bitmod_fp3", "olive4", "mx_fp4", "int6_sym",
+]
+
+
 class TestDispatch:
-    @pytest.mark.parametrize(
-        "dtype",
-        [
-            "int4_sym", "int4_asym", "fp4", "fp3", "flint4", "ant4",
-            "bitmod_fp4", "bitmod_fp3", "olive4", "mx_fp4", "int6_sym",
-        ],
-    )
+    @pytest.mark.parametrize("dtype", _ALL_DTYPES)
     def test_every_dtype_quantizes(self, weights, dtype):
         r = quantize_tensor(weights, QuantConfig(dtype=dtype))
         assert r.w_deq.shape == weights.shape
@@ -75,6 +75,39 @@ class TestDispatch:
         cfg2 = cfg.with_(clip_ratio=0.9)
         assert cfg.clip_ratio == 1.0 and cfg2.clip_ratio == 0.9
         assert cfg2.dtype == "fp4"
+
+
+class TestInvariants:
+    """Properties every datatype keeps on a multi-group matrix: rows
+    (output channels) quantize independently, and the result commutes
+    with negation and with power-of-two rescaling."""
+
+    @pytest.fixture
+    def wide(self, rng):
+        return rng.standard_normal((32, 1024))
+
+    @pytest.mark.parametrize("dtype", _ALL_DTYPES)
+    def test_rows_quantize_independently(self, wide, dtype):
+        cfg = QuantConfig(dtype=dtype)
+        full = quantize_tensor(wide, cfg).w_deq
+        part = quantize_tensor(wide[8:16], cfg).w_deq
+        np.testing.assert_array_equal(part, full[8:16])
+
+    @pytest.mark.parametrize("dtype", _ALL_DTYPES)
+    def test_commutes_with_negation(self, wide, dtype):
+        cfg = QuantConfig(dtype=dtype)
+        np.testing.assert_array_equal(
+            quantize_tensor(-wide, cfg).w_deq, -quantize_tensor(wide, cfg).w_deq
+        )
+
+    @pytest.mark.parametrize("dtype", _ALL_DTYPES)
+    def test_commutes_with_power_of_two_scale(self, wide, dtype):
+        cfg = QuantConfig(dtype=dtype)
+        ref = quantize_tensor(wide, cfg).w_deq
+        for k in (-3, 1, 5):
+            np.testing.assert_array_equal(
+                quantize_tensor(wide * 2.0**k, cfg).w_deq, ref * 2.0**k
+            )
 
 
 class TestValidation:

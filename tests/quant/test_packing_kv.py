@@ -107,15 +107,16 @@ class TestTensorPacking:
         ref = quantize_tensor(w, cfg).w_deq
         np.testing.assert_allclose(recon, ref, atol=1e-12)
 
-    def test_memory_overhead_close_to_model(self, rng):
+    @pytest.mark.parametrize("dtype,bits", [("bitmod_fp3", 3), ("bitmod_fp4", 4)])
+    def test_memory_overhead_close_to_model(self, dtype, bits, rng):
         """Packed size tracks the datatype's memory model (paper's
         '10 extra bits per group' claim)."""
         w = rng.standard_normal((16, 1024))
-        cfg = QuantConfig(dtype="bitmod_fp3")
+        cfg = QuantConfig(dtype=dtype)
         packed = pack_tensor(w, cfg)
         # element bits + SF byte + 2-bit selector; second-level factors
         # amortize over channels.
-        assert packed.bits_per_weight == pytest.approx(3 + 10 / 128, abs=0.05)
+        assert packed.bits_per_weight == pytest.approx(bits + 10 / 128, abs=0.05)
 
     def test_bitmod_stores_selectors(self, rng):
         w = rng.standard_normal((4, 256))

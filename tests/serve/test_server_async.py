@@ -169,6 +169,14 @@ class TestHardwareBridge:
         assert e4.total_energy_uj < e8.total_energy_uj
         assert e4.total_time_ms < e8.total_time_ms
 
+    def test_identical_requests_cost_the_same(self):
+        trace = RequestTrace(prompt_len=32, gen_len=16)
+        one = hardware_report("opt-1.3b", [trace], weight_bits=4.125)
+        eight = hardware_report("opt-1.3b", [trace] * 8, weight_bits=4.125)
+        assert eight.n_requests == 8
+        assert eight.energy_per_request_uj == pytest.approx(one.total_energy_uj)
+        assert eight.total_time_ms == pytest.approx(8 * one.total_time_ms)
+
     def test_requires_bits_for_name(self):
         with pytest.raises(ValueError, match="weight_bits"):
             hardware_report("opt-1.3b", [RequestTrace(8, 4)])
