@@ -44,12 +44,17 @@ SENSITIVITY = 5.0
 
 def kl_divergence_mean(logits_p: np.ndarray, logits_q: np.ndarray) -> float:
     """Mean over positions of ``KL(softmax(p) || softmax(q))``."""
+    # Three temporaries, each reused operator by operator; the values
+    # are those of ``sum(p * (log(max(p, 1e-30)) - log_softmax(q)))``.
     p = softmax(logits_p, axis=-1)
-    log_p = np.log(np.maximum(p, 1e-30))
-    shifted = logits_q - np.max(logits_q, axis=-1, keepdims=True)
-    log_q = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    kl = np.sum(p * (log_p - log_q), axis=-1)
-    return float(np.mean(kl))
+    log_q = np.subtract(logits_q, np.max(logits_q, axis=-1, keepdims=True))
+    work = np.exp(log_q)
+    log_q -= np.log(np.sum(work, axis=-1, keepdims=True))
+    np.maximum(p, 1e-30, out=work)
+    np.log(work, out=work)
+    work -= log_q
+    work *= p
+    return float(np.mean(np.sum(work, axis=-1)))
 
 
 QuantizeFn = Callable[[str, np.ndarray], np.ndarray]

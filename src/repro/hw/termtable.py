@@ -195,22 +195,22 @@ def decode_packed_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
     g = packed.group_size
     n_groups = packed.sf_codes.size
     codes = unpack_words(packed.word_image(), packed.bits, n_groups * g)
-    codes = codes.astype(np.int64).reshape(n_groups, g)
-
+    rows = codes.astype(np.int64).reshape(n_groups, g)
     if isinstance(dtype, BitMoDType):
-        sel = np.asarray(packed.sv_selectors, dtype=np.int64).reshape(-1)
-        n_terms = tables[0].n_terms
-        arrays = tuple(
-            np.zeros((n_groups, g, n_terms), dtype=np.int8) for _ in range(4)
-        )
-        for gi, table in enumerate(tables):
-            mask = sel == gi
-            if not mask.any():
-                continue
-            fields = table.lookup(codes[mask])
-            for dst, src in zip(arrays, fields):
-                dst[mask] = src
-    else:
-        arrays = tables[0].lookup(codes)
-
-    return cache.put(packed, "terms", token, tuple(arrays))
+        # Every special-value table spans the full 2**bits code space, so
+        # a group's selector offsets its codes into the stacked tables; an
+        # out-of-range selector indexes past the stack and raises.
+        sel = np.asarray(packed.sv_selectors, dtype=np.int64).reshape(-1, 1)
+        rows += sel * tables[0].n_codes
+    # One gather of whole rows: each code's four term fields form one
+    # opaque record, which numpy copies far faster than int8 sub-rows.
+    fields = np.stack(
+        [np.concatenate([getattr(t, f) for t in tables]) for f in ("sign", "exp", "man", "bsig")],
+        axis=1,
+    )
+    n_rows, _, n_terms = fields.shape
+    records = fields.reshape(n_rows, -1).view(np.dtype((np.void, 4 * n_terms)))
+    terms = records[:, 0][rows].view(np.int8).reshape(rows.shape + (4, n_terms))
+    return cache.put(
+        packed, "terms", token, tuple(np.ascontiguousarray(terms[..., i, :]) for i in range(4))
+    )

@@ -24,9 +24,14 @@ bit-identical to the scalar reference:
    e_max))`` reproduces ``_rshift_rne`` exactly (the product is a
    <=14-bit integer, power-of-two scaling is exact, and ``np.rint``
    rounds half to even; signs fold into the mantissas because RNE is
-   symmetric);
-2. the per-step lane sum and the across-step accumulation are plain
-   float32 adds in the scalar engine's order;
+   symmetric).  ``e_max`` is a lane-unrolled ``np.maximum`` over the
+   ``lanes`` axis, exact because a max does not depend on order;
+2. the per-step lane sum is a lane-unrolled float32 ``+=``: every
+   partial sum is an integer below ``2**24`` (the bound above), so it
+   is exact in any order.  The across-step accumulation is one
+   ``np.add.reduce`` over a step-major copy of the step values:
+   numpy reduces an outer axis one slice at a time, in order, so it
+   performs exactly the scalar engine's float32 adds, step by step;
 3. bit-serial dequantization is float32 adds of ``ldexp(partial, i)``
    over the set bits of the 8-bit scaling-factor code;
 4. the per-channel float64 combine matches the scalar column
@@ -140,27 +145,32 @@ class FusedBackend(KernelBackend):
         amf *= float(1 << guard)
         amf = amf.reshape(m, blocks, 1, lanes)
 
-        acc = np.zeros((m, k, gpc), dtype=np.float32)
+        acc = np.empty((m, k, gpc), dtype=np.float32)
         for k0 in range(0, k, self.DEFAULT_K_CHUNK):
             k1 = min(k0 + self.DEFAULT_K_CHUNK, k)
             # Lane exponents and products for every (row, step, lane).
             e = ae[:, None] + te[None, k0:k1]  # (m, kc, blocks, T, lanes) i8
-            emax = e.max(axis=-1)
+            emax = e[..., 0].copy()  # max is order-free: unroll the lanes
+            for lane in range(1, lanes):
+                np.maximum(emax, e[..., lane], out=emax)
             sh = np.subtract(e, emax[..., None], dtype=np.int32)  # <= 0
-            prod = amf[:, None] * tms[None, k0:k1]
-            al = np.ldexp(prod, sh)  # exact: power-of-two scaling
+            al = amf[:, None] * tms[None, k0:k1]
+            np.ldexp(al, sh, out=al)  # exact: power-of-two scaling
             np.rint(al, out=al)  # RNE alignment == _rshift_rne
-            tot = al.sum(axis=-1, dtype=np.float32)  # integer-exact
+            tot = al[..., 0].copy()  # integer-exact in any order
+            for lane in range(1, lanes):
+                tot += al[..., lane]
             sv = np.ldexp(
                 tot, np.subtract(emax, guard + _FP16_EXP_OFFSET, dtype=np.int32)
             )
-            sv = sv.reshape(m, k1 - k0, gpc, spg)
-            a = acc[:, k0:k1]
-            # Sequential float32 adds in the scalar step order
-            # (block-major, term-minor) — each IS the 24-bit RNE
-            # accumulator renormalization.
-            for s in range(spg):
-                a += sv[..., s]
+            # Step-major copy, then sequential float32 adds from a zero
+            # accumulator in the scalar step order (block-major,
+            # term-minor): numpy reduces an outer axis one slice at a
+            # time, and each add IS the 24-bit RNE renormalization.
+            steps = np.ascontiguousarray(
+                np.moveaxis(sv.reshape(m, k1 - k0, gpc, spg), -1, 0)
+            )
+            np.add.reduce(steps, axis=0, out=acc[:, k0:k1], initial=0.0)
 
         # Bit-serial dequantization: partial * sf, one set bit at a time.
         acc2 = np.zeros_like(acc)

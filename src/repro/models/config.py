@@ -120,10 +120,20 @@ class ModelConfig:
     def cache_key(self) -> str:
         """Stable content digest over every architecture / profile /
         anchor field — two zoo revisions that change any of them key
-        to different pipeline cache entries."""
-        from repro.pipeline.keys import stable_digest
+        to different pipeline cache entries.
 
-        return stable_digest(self)
+        Computed once per instance: the instance is frozen, so the
+        digest is kept in its ``__dict__`` (not a field, so ``==``,
+        ``repr`` and :func:`~repro.pipeline.keys.canonical` never see
+        it); ``dataclasses.replace`` makes a new instance and digests
+        afresh."""
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            from repro.pipeline.keys import stable_digest
+
+            key = stable_digest(self)
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     @property
     def head_dim(self) -> int:

@@ -42,15 +42,36 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Numerically stable softmax (``x`` is not modified)."""
+    return _softmax_inplace(np.subtract(x, np.max(x, axis=axis, keepdims=True)), axis)
+
+
+def _softmax_inplace(shifted: np.ndarray, axis: int) -> np.ndarray:
+    """Finish a softmax in the caller's temporary ``shifted`` (rows
+    already shifted by their max): ``exp`` then divide by the row sum,
+    the same operators on the same operands as the out-of-place form."""
+    np.exp(shifted, out=shifted)
+    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    return shifted
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximated GELU (GPT/OPT/Phi activation)."""
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    """Tanh-approximated GELU (GPT/OPT/Phi activation).
+
+    Evaluates ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))``
+    operator by operator in two temporaries; every product and sum is
+    the one the expression computes (IEEE ``*`` and ``+`` commute), so
+    float64 results are bit-identical to it.
+    """
+    t = x**3
+    t *= 0.044715
+    t += x
+    t *= np.sqrt(2.0 / np.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    half = 0.5 * x
+    half *= t
+    return half
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -106,8 +127,14 @@ def causal_attention(
     new positions: query ``i`` may attend to keys ``<= past_len + i``.
     """
     head_dim = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(head_dim)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= np.sqrt(head_dim)
     q_len, kv_len = q.shape[-2], k.shape[-2]
-    mask = np.triu(np.full((q_len, kv_len), -np.inf), k=1 + past_len)
-    probs = softmax(scores + mask, axis=-1)
-    return probs @ v
+    # Query 0 sees keys 0..past_len, so the mask is all zero unless
+    # there are more keys than that plus one (never in a one-token
+    # decode step).  Adding a zero mask only flips -0.0 scores to +0.0,
+    # which the max shift and exp treat alike.
+    if kv_len > past_len + 1:
+        scores += np.triu(np.full((q_len, kv_len), -np.inf), k=1 + past_len)
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    return _softmax_inplace(scores, -1) @ v

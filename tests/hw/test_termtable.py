@@ -130,3 +130,16 @@ class TestDecodePackedTerms:
         terms_a = decode_packed_terms(packed, dt_a)
         terms_b = decode_packed_terms(packed, dt_b)
         assert not any(a is b for a, b in zip(terms_a, terms_b))
+
+    def test_out_of_range_selector_rejected(self, rng):
+        """A selector naming no special-value table is a corrupt image:
+        the one stacked gather indexes past the tables and raises."""
+        import dataclasses
+
+        cfg = QuantConfig(dtype="bitmod_fp4")
+        packed = pack_tensor(rng.standard_normal((2, 128)), cfg)
+        dtype = cfg.resolve_dtype()
+        sel = np.array(packed.sv_selectors, copy=True)
+        sel.reshape(-1)[0] = len(dtype.special_values)
+        with pytest.raises(IndexError):
+            decode_packed_terms(dataclasses.replace(packed, sv_selectors=sel), dtype)

@@ -111,6 +111,35 @@ class TestRun:
             np.testing.assert_array_equal(res.output, ref.output)
             assert res.pe_cycles == ref.pe_cycles
 
+    @pytest.mark.parametrize("lanes", [2, 4, 8])
+    @pytest.mark.parametrize("dtype", ["bitmod_fp3", "bitmod_fp4", "int4_sym"])
+    def test_backends_agree_across_lane_counts(self, lanes, dtype):
+        """The fused backend unrolls its lane max/sum over ``lanes``:
+        every lane count of the paper-pareto ``pe_lanes`` axis must give
+        the reference outputs and cycles, over varied scale codes and
+        special-value selectors and a padded last group.  Activations
+        span 2**-14..2**9, so alignment and accumulation both round."""
+        rng = np.random.default_rng(lanes * 100 + len(dtype))
+        cfg = QuantConfig(dtype=dtype, group_size=32)
+        w = rng.standard_normal((5, 80)) * np.exp(2.0 * rng.standard_normal((5, 1)))
+        w[:, 40:] *= 9.0  # second group column: a different scale per row
+        x = rng.standard_normal((3, 80)) * 2.0 ** rng.integers(-14, 10, (3, 80))
+        task = GemmTask(
+            x=x.astype(np.float16),
+            packed=pack_tensor(w, cfg),
+            dtype=cfg.resolve_dtype(),
+            pe_config=PEConfig(lanes=lanes),
+        )
+        assert len(np.unique(task.sf_codes())) > 3
+        if task.packed.sv_selectors is not None:
+            assert len(np.unique(task.packed.sv_selectors)) > 1
+        ref = get_backend("reference").run(task)
+        for name in ("numpy", "fused"):
+            assert get_backend(name).supports(task) is None
+            res = get_backend(name).run(task)
+            np.testing.assert_array_equal(res.output, ref.output)
+            assert res.pe_cycles == ref.pe_cycles
+
 
 @pytest.fixture()
 def _propagating_repro_logs():

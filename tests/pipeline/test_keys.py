@@ -75,6 +75,26 @@ class TestModelConfigKey:
             == get_model_config("llama-2-7b").cache_key()
         )
 
+    def test_digested_once_and_kept_out_of_fields(self, monkeypatch):
+        import dataclasses
+
+        import repro.pipeline.keys as keys
+
+        cfg = dataclasses.replace(get_model_config("opt-1.3b"))
+        calls = []
+        real = keys.stable_digest
+        monkeypatch.setattr(keys, "stable_digest", lambda obj: calls.append(obj) or real(obj))
+        first = cfg.cache_key()
+        assert cfg.cache_key() == first and len(calls) == 1
+        assert first == real(get_model_config("opt-1.3b"))
+        # The memo is no field: equality, repr and the canonical form
+        # ignore it, and a replaced instance digests its own fields.
+        assert cfg == get_model_config("opt-1.3b")
+        assert "_cache_key" not in repr(cfg)
+        assert "_cache_key" not in canonical(cfg)
+        other = dataclasses.replace(cfg, sim_layers=cfg.sim_layers + 1)
+        assert other.cache_key() != first and len(calls) == 2
+
 
 class TestMethodKey:
     def test_method_name_in_key(self):
