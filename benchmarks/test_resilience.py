@@ -1,8 +1,8 @@
 """Benchmarks of the resilience layer: the clean path must be ~free.
 
 Fault-injection hooks, cache integrity envelopes and run journals all
-sit on the hot path of every run, so ``BENCH_resilience.json`` records
-what they cost when nothing is failing:
+sit on the hot path of every run, so these gates bound what they cost
+when nothing is failing:
 
 * **micro** — nanoseconds per disabled :func:`faults.enabled` /
   :func:`faults.fire` call, per integrity-envelope digest, and per
@@ -17,7 +17,6 @@ what they cost when nothing is failing:
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -25,14 +24,9 @@ from repro.pipeline import CellGrid, Engine
 from repro.pipeline.context import clear_context
 from repro.pipeline.store import CacheStore, _payload_digest
 from repro.quant.config import QuantConfig
-from repro.resilience import RunJournal, atomic_write_json, faults
+from repro.resilience import RunJournal, faults
 
-_RESULTS_PATH = Path(__file__).parent / "BENCH_resilience.json"
-_QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-_results = {"quick_mode": _QUICK}
-
-_MICRO_N = 20_000 if _QUICK else 100_000
+_MICRO_N = 100_000
 
 #: A representative cell-result payload for digest costing.
 _PAYLOAD = json.dumps(
@@ -60,23 +54,13 @@ def per_call_ns(tmp_path_factory):
     per_fire_ns = _ns_per_call(lambda: faults.fire("bench.site"), _MICRO_N)
     per_digest_ns = _ns_per_call(lambda: _payload_digest(_PAYLOAD), _MICRO_N)
 
-    n_appends = 2_000 if _QUICK else 10_000
+    n_appends = 10_000
     path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
     with RunJournal(path) as j:
         per_append_ns = _ns_per_call(
             lambda: j.append({"event": "cells", "keys": ["k" * 16]}), n_appends
         )
 
-    _results["micro"] = {
-        "disabled_enabled_ns": per_enabled_ns,
-        "disabled_fire_ns": per_fire_ns,
-        "iterations": _MICRO_N,
-    }
-    _results["micro_io"] = {
-        "envelope_digest_ns": per_digest_ns,
-        "journal_append_ns": per_append_ns,
-        "append_iterations": n_appends,
-    }
     return {
         "enabled": per_enabled_ns,
         "fire": per_fire_ns,
@@ -131,20 +115,8 @@ def test_clean_path_overhead_under_2_percent(tmp_path, per_call_ns):
     )
     est_overhead = est_ns / wall_ns
 
-    _results["overhead"] = {
-        "workload": f"cold {n_cells}-cell quick grid, journaled",
-        "wall_s": wall_ns / 1e9,
-        "fault_guard_events": n_cells + n_puts,
-        "digest_events": 2 * n_puts,
-        "journal_appends": n_journal,
-        "estimated_clean_path_overhead": est_overhead,
-    }
     assert est_overhead < 0.02, (
         f"clean-path resilience overhead estimate {est_overhead:.2%} exceeds "
         f"the 2% budget on a {wall_ns / 1e9:.2f}s workload"
     )
 
-
-def test_zz_write_results():
-    atomic_write_json(_RESULTS_PATH, _results, indent=2)
-    print(f"\nwrote {_RESULTS_PATH}")

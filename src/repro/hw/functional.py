@@ -31,12 +31,11 @@ cross-checked against the analytic timing model.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.dtypes.integer import IntegerType
-from repro.hw.bitserial import BitSerialTerm
 from repro.hw.pe import BitMoDPE, PEConfig
 from repro.hw.termtable import ASYMMETRIC_REJECT_MSG
 from repro.kernels.base import GemmExecution, GemmTask
@@ -136,10 +135,3 @@ class FunctionalGemm:
         packed = pack_tensor(w, self.config)
         return ReferenceBackend().run(self._task(x, packed))
 
-    def _decode_group_terms(
-        self, packed: PackedTensor, group_idx: int
-    ) -> List[List[BitSerialTerm]]:
-        """Decode one group's element codes into bit-serial terms."""
-        from repro.kernels.reference import decode_group_terms
-
-        return decode_group_terms(packed, self.dtype, group_idx)

@@ -48,7 +48,7 @@ from repro.hw.timing import gemm_compute_cycles
 from repro.models.config import GEMMShape, ModelConfig
 from repro.obs.trace import NOOP_SPAN, TRACER
 
-__all__ = ["SimResult", "simulate", "simulate_plan"]
+__all__ = ["SimResult", "one_pass", "simulate", "simulate_plan"]
 
 _FP16_BYTES = 2.0
 
@@ -243,6 +243,42 @@ def _scaled(e: EnergyBreakdown, k: float) -> EnergyBreakdown:
     )
 
 
+def one_pass(
+    cfg: ModelConfig,
+    accel: AcceleratorSpec,
+    weight_bits: float,
+    m: int,
+    context: int,
+    shards: int = 1,
+    stages: int = 1,
+    topology: str = "ring",
+    link: LinkSpec = LinkSpec(),
+    group_size: int = 128,
+    gemm_bits: Optional[Mapping[str, float]] = None,
+) -> Tuple[float, EnergyBreakdown, float, float]:
+    """(cycles, energy, wire bytes, collective cycles) of one pass of
+    :func:`simulate` over the whole mesh; the mesh is not validated."""
+    freq_hz = accel.arch.frequency_ghz * 1e9
+    cycles = 0.0
+    energy = EnergyBreakdown(0.0, 0.0, 0.0)
+    for stage, n_layers in enumerate(stage_layer_counts(cfg.n_layers, stages)):
+        c, e = _chip_pass(
+            cfg, accel, weight_bits, m, context, shards, n_layers,
+            stage == 0, stage == stages - 1, group_size, gemm_bits,
+        )
+        cycles += c
+        # Every chip of the stage runs the same shard shapes in
+        # lockstep: energy is per chip x shards chips.
+        energy = energy + _scaled(e, shards)
+    wire_bytes = 0.0
+    link_cycles = 0.0
+    ops = pass_collectives(cfg.n_layers, cfg.hidden, cfg.vocab, m, shards, stages)
+    for op in ops:
+        link_cycles += op.seconds(link, topology) * freq_hz
+        wire_bytes += op.wire_bytes(topology)
+    return cycles + link_cycles, energy, wire_bytes, link_cycles
+
+
 def simulate(
     cfg: ModelConfig,
     accel: AcceleratorSpec,
@@ -311,31 +347,6 @@ def simulate(
         )
     if task not in ("discriminative", "generative"):
         raise ValueError("task must be 'discriminative' or 'generative'")
-    freq_hz = accel.arch.frequency_ghz * 1e9
-    layer_counts = stage_layer_counts(cfg.n_layers, stages)
-
-    def one_pass(m: int, context: int) -> Tuple[float, EnergyBreakdown, float, float]:
-        """(cycles, energy, wire bytes, collective cycles) of one pass
-        over ``m`` tokens across the whole mesh."""
-        cycles = 0.0
-        energy = EnergyBreakdown(0.0, 0.0, 0.0)
-        for stage, n_layers in enumerate(layer_counts):
-            c, e = _chip_pass(
-                cfg, accel, weight_bits, m, context, shards, n_layers,
-                stage == 0, stage == stages - 1, group_size, gemm_bits,
-            )
-            cycles += c
-            # Every chip of the stage runs the same shard shapes in
-            # lockstep: energy is per chip x shards chips.
-            energy = energy + _scaled(e, shards)
-        wire_bytes = 0.0
-        link_cycles = 0.0
-        ops = pass_collectives(cfg.n_layers, cfg.hidden, cfg.vocab, m, shards, stages)
-        for op in ops:
-            link_cycles += op.seconds(link, topology) * freq_hz
-            wire_bytes += op.wire_bytes(topology)
-        return cycles + link_cycles, energy, wire_bytes, link_cycles
-
     with (
         TRACER.span(
             "hw.simulate",
@@ -350,10 +361,15 @@ def simulate(
         if TRACER.enabled
         else NOOP_SPAN
     ):
-        cycles, energy, wire_bytes, link_cycles = one_pass(prompt_len, prompt_len)
+        pass_args = (shards, stages, topology, link, group_size, gemm_bits)
+        cycles, energy, wire_bytes, link_cycles = one_pass(
+            cfg, accel, weight_bits, prompt_len, prompt_len, *pass_args
+        )
         if task == "generative":
             # Decode steps are near-identical; use the average context.
-            c, e, b, lc = one_pass(1, prompt_len + gen_len // 2)
+            c, e, b, lc = one_pass(
+                cfg, accel, weight_bits, 1, prompt_len + gen_len // 2, *pass_args
+            )
             cycles += gen_len * c
             energy = energy + _scaled(e, gen_len)
             wire_bytes += gen_len * b

@@ -45,6 +45,7 @@ __all__ = [
     "integer_term_table",
     "grid_term_table",
     "term_tables_for_dtype",
+    "decode_terms",
     "decode_packed_terms",
 ]
 
@@ -163,34 +164,16 @@ def term_tables_for_dtype(dtype) -> Tuple[TermTable, ...]:
     raise TypeError(f"unsupported datatype {dtype!r}")
 
 
-def decode_packed_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
+def decode_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
     """Decode a whole packed tensor into per-group term arrays.
 
     Returns ``(sign, exp, man, bsig)`` int8 arrays of shape
     ``(n_groups, group_size, n_terms)``.  Codes are read from the
     tensor's word-packed image (multiple codes per 64-bit word,
     unpacked in one vectorized shift-and-mask) and gathered through
-    the memoized term tables.  The decoded arrays are memoized in the
-    bounded LRU :func:`~repro.kernels.cache.decode_cache` — keyed by
-    the identity of the term tables, which reflects the actual grids
-    rather than the datatype name, so two same-named dtypes with
-    different special values cannot alias — and repeated GEMMs over
-    one weight image (the serving case) decode it exactly once.
-    Decodes larger than the cache budget (``$REPRO_KERNEL_CACHE_MB``)
-    are returned uncached.
+    the memoized term tables; uncached (see :func:`decode_packed_terms`).
     """
     tables = term_tables_for_dtype(dtype)
-    token = tuple(id(t) for t in tables)
-    # Local import: the kernels cache depends only on repro.obs, but
-    # importing it at module scope would cycle through repro.kernels'
-    # backend registration, which imports this module.
-    from repro.kernels.cache import decode_cache
-
-    cache = decode_cache()
-    cached = cache.get(packed, "terms", token)
-    if cached is not None:
-        return cached
-
     from repro.quant.packing import unpack_words  # local: avoid import cycle
     g = packed.group_size
     n_groups = packed.sf_codes.size
@@ -211,6 +194,26 @@ def decode_packed_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
     n_rows, _, n_terms = fields.shape
     records = fields.reshape(n_rows, -1).view(np.dtype((np.void, 4 * n_terms)))
     terms = records[:, 0][rows].view(np.int8).reshape(rows.shape + (4, n_terms))
-    return cache.put(
-        packed, "terms", token, tuple(np.ascontiguousarray(terms[..., i, :]) for i in range(4))
-    )
+    return tuple(np.ascontiguousarray(terms[..., i, :]) for i in range(4))
+
+
+def decode_packed_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
+    """:func:`decode_terms`, memoized in the bounded LRU
+    :func:`~repro.kernels.cache.decode_cache`: repeated GEMMs over one
+    weight image (the serving case) decode it once.  The key is the
+    identity of the term tables, which reflects the actual grids rather
+    than the datatype name, so two same-named dtypes with different
+    special values cannot alias.  Decodes larger than the cache budget
+    (``$REPRO_KERNEL_CACHE_MB``) are returned uncached.
+    """
+    token = tuple(id(t) for t in term_tables_for_dtype(dtype))
+    # Local import: the kernels cache depends only on repro.obs, but
+    # importing it at module scope would cycle through repro.kernels'
+    # backend registration, which imports this module.
+    from repro.kernels.cache import decode_cache
+
+    cache = decode_cache()
+    cached = cache.get(packed, "terms", token)
+    if cached is not None:
+        return cached
+    return cache.put(packed, "terms", token, decode_terms(packed, dtype))

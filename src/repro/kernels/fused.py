@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dtypes.floating import fp16_decompose
-from repro.hw.termtable import decode_packed_terms, term_tables_for_dtype
+from repro.hw.termtable import decode_terms, term_tables_for_dtype
 from repro.kernels.base import GemmExecution, GemmTask, KernelBackend, register_backend
 from repro.kernels.cache import decode_cache
 
@@ -82,7 +82,7 @@ def _prepare(task: GemmTask):
 
     _m, k, _d, g, gpc, _pad = task.geometry()
     blocks = gpc * g // lanes
-    sign, exp, man, bsig = decode_packed_terms(packed, task.dtype)
+    sign, exp, man, bsig = decode_terms(packed, task.dtype)  # only the layout is cached
     n_terms = sign.shape[-1]
     te = (exp + bsig).reshape(k, blocks, lanes, n_terms)
     te = np.ascontiguousarray(te.transpose(0, 1, 3, 2))

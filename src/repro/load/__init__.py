@@ -14,10 +14,9 @@ harness, layered the way the serving papers slice it:
     weighted blends) and :class:`Workload`, which binds a mix to an
     arrival process and fingerprints the whole trace (sha256).
 ``harness``
-    The asyncio driver: replays a workload against a live
-    :class:`~repro.serve.server.ServeServer`, records every outcome
-    (completed/shed/expired/error), and rolls everything into a
-    summary dict with a zero-lost accounting invariant.
+    The deterministic replay on a modeled clock: every outcome
+    (completed/shed/expired/error) recorded, rolled into a summary
+    with a zero-lost accounting invariant.
 
 Serving latency and throughput under load are recorded by perfbench
 (``python3 perfbench/run.py``), which builds its traces from
@@ -31,7 +30,7 @@ from repro.load.arrivals import (
     PoissonArrivals,
     from_spec,
 )
-from repro.load.harness import LoadResult, RequestRecord, drive, run_load
+from repro.load.harness import LoadResult, RequestRecord, replay
 from repro.load.traffic import (
     LongDocSummarization,
     MixedTraffic,
@@ -53,8 +52,7 @@ __all__ = [
     "MixedTraffic",
     "RequestSpec",
     "Workload",
-    "drive",
-    "run_load",
+    "replay",
     "LoadResult",
     "RequestRecord",
 ]

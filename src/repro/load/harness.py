@@ -1,41 +1,42 @@
-"""Asyncio load driver: fire a scripted trace at a live ServeServer.
+"""Deterministic load replay: a scripted trace on a modeled clock.
 
-:func:`drive` replays a :class:`~repro.load.traffic.Workload` against
-a running :class:`~repro.serve.server.ServeServer` — one asyncio task
-per scripted request, sleeping until its arrival offset, then calling
-``server.generate`` with the scripted prompt/tier/deadline.  Every
-outcome is recorded, including the structured failures:
+:func:`replay` runs a :class:`~repro.load.traffic.Workload` through a
+:class:`~repro.serve.batching.ContinuousBatcher` whose clock advances
+by the modeled accelerator time of each forward pass, so per-request
+outcomes are a pure function of (trace digest, engine, batcher
+settings).  Every outcome is recorded, including the structured
+failures:
 
-* ``"completed"`` — tokens came back; TTFT, TBT, and end-to-end
-  latency are taken from the server's per-request timings;
+* ``"completed"`` — tokens came back, with modeled TTFT, TBT and
+  end-to-end latency from the scripted arrival;
 * ``"shed"`` — admission control raised
   :class:`~repro.serve.errors.Overloaded`;
-* ``"expired"`` — the deadline passed mid-flight
-  (:class:`~repro.serve.errors.DeadlineExceeded`);
-* ``"error"`` — anything else (kept, never swallowed: the summary
-  re-raises visibility by counting it, and the record holds the repr).
+* ``"expired"`` — the deadline passed and the scheduler evicted it;
+* ``"error"`` — anything else (kept, never swallowed: the record holds
+  the repr).
 
-When the trace is done, the driver takes one
-:meth:`~repro.serve.server.ServeServer.metrics_snapshot`.
 :meth:`LoadResult.summary` folds everything into one dict, with a hard
 ``lost`` accounting check: every submitted request must come back as
-completed, shed, expired, or errored.
+completed, shed, expired, or errored.  The real-time path is
+:class:`~repro.serve.server.ServeServer` itself.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional
 
-from repro.serve.errors import DeadlineExceeded, Overloaded
+from repro.hw.baselines import make_accelerator
+from repro.hw.simulator import one_pass
+from repro.serve.batching import ContinuousBatcher, Request
+from repro.serve.engine import GenerationConfig
+from repro.serve.errors import Overloaded
 from repro.serve.metrics import LatencyStats
-from repro.serve.server import ServeServer
 
-from repro.load.traffic import RequestSpec, Workload
+from repro.load.traffic import Workload
 
-__all__ = ["RequestRecord", "LoadResult", "drive", "run_load"]
+__all__ = ["RequestRecord", "LoadResult", "replay"]
 
 
 @dataclass
@@ -121,94 +122,101 @@ class LoadResult:
         }
 
 
-async def _fire(
-    server: ServeServer,
-    spec: RequestSpec,
-    index: int,
-    start: float,
-) -> RequestRecord:
-    from repro.serve.engine import GenerationConfig
+class _ModeledEngine:
+    """``engine`` as the replay's batcher sees it: each prefill or
+    decode call advances ``now`` by its pass's modeled seconds, so the
+    batcher's first-token and finish stamps land where the pass ends.
+    Accelerator and bits follow :func:`~repro.serve.bridge.hardware_report`."""
 
-    delay = start + spec.arrival_s - time.monotonic()
-    if delay > 0:
-        await asyncio.sleep(delay)
-    record = RequestRecord(
-        index=index,
-        outcome="error",
-        tier=spec.tier,
-        prompt_len=spec.prompt_len,
-        arrival_s=spec.arrival_s,
-    )
-    try:
-        result = await server.generate(
-            spec.prompt,
-            GenerationConfig(max_new_tokens=spec.max_new_tokens),
-            deadline_s=spec.deadline_s,
-            tier=spec.tier,
+    def __init__(self, engine):
+        self.engine, self.now = engine, 0.0
+        cfg, mesh = engine.model.config, getattr(engine.model, "mesh", None)
+        if engine.artifact is not None:
+            accel, bits = make_accelerator("bitmod"), engine.artifact.mean_bits_per_weight
+        else:
+            accel, bits = make_accelerator("fp16"), 16.0
+        kw = {}
+        if mesh is not None:
+            kw = dict(shards=mesh.tp, stages=mesh.pp, topology=mesh.topology,
+                      link=engine.model.collective.link)
+        hz = accel.arch.frequency_ghz * 1e9
+        self._seconds = lru_cache(maxsize=None)(
+            lambda m, context: one_pass(cfg, accel, bits, m, context, **kw)[0] / hz
         )
-    except Overloaded:
-        record.outcome = "shed"
-    except DeadlineExceeded as exc:
-        record.outcome = "expired"
-        record.n_generated = exc.to_dict().get("generated_tokens", 0)
-    except Exception as exc:  # noqa: BLE001 — recorded, counted, surfaced
-        record.outcome = "error"
-        record.error = repr(exc)
-    else:
-        record.outcome = "completed"
-        record.ttft_s = result.ttft_s
-        record.latency_s = result.latency_s
-        record.n_generated = result.n_generated
-        record.tokens = list(result.tokens)
-        record.tbt_s = (result.latency_s - result.ttft_s) / max(
-            result.n_generated - 1, 1
-        )
-    return record
+
+    def start_sequence(self, prompt, generation):
+        return self.engine.start_sequence(prompt, generation)
+
+    def prefill(self, seq) -> int:
+        token = self.engine.prefill(seq)
+        self.now += self._seconds(len(seq.prompt) - seq.prefix_hit_tokens, len(seq.prompt))
+        return token
+
+    def decode(self, seqs) -> List[int]:
+        # KV length after the pass: every row appends its last token.
+        context = round(sum(seq.total_len for seq in seqs) / len(seqs))
+        tokens = self.engine.decode(seqs)
+        self.now += self._seconds(len(seqs), context)
+        return tokens
 
 
-async def drive(server: ServeServer, workload: Workload) -> LoadResult:
-    """Replay ``workload`` against a started ``server``.
+def replay(engine, workload: Workload, **batcher_kwargs) -> LoadResult:
+    """Replay ``workload`` through ``engine`` on the modeled clock.
 
-    The server must already be running (``await server.start()``); the
-    caller keeps ownership and stops it afterwards.  Returns once
-    every scripted request has resolved one way or another.
+    ``batcher_kwargs`` pass through to
+    :class:`~repro.serve.batching.ContinuousBatcher`
+    (``max_batch_tokens``, ``max_running``, ``max_waiting``,
+    ``soft_admit_ratio``).  A request is submitted once the clock
+    reaches its arrival, stamped with that arrival; an idle clock jumps
+    to the next arrival.  Each prefill costs one
+    :func:`~repro.hw.simulator.one_pass` over the tokens the prefix
+    cache did not supply; each batched decode one pass of ``m`` = rows
+    at the rows' mean context.  ``wall_s`` and every timing in the
+    records and ``metrics`` are modeled seconds from the trace start,
+    not host time.
     """
     trace = workload.build()
-    start = time.monotonic()
-    tasks = [
-        asyncio.create_task(_fire(server, spec, i, start))
+    modeled = _ModeledEngine(engine)
+    batcher = ContinuousBatcher(modeled, clock=lambda: modeled.now, **batcher_kwargs)
+    records = [
+        RequestRecord(i, "error", spec.tier, spec.prompt_len, spec.arrival_s)
         for i, spec in enumerate(trace)
     ]
-    records = list(await asyncio.gather(*tasks))
-    wall_s = time.monotonic() - start
-
-    engine = server.batcher.engine
-    prefix_stats = (
-        engine.prefix_cache.stats() if engine.prefix_cache is not None else None
-    )
+    due = 0
+    while due < len(trace) or batcher.has_work:
+        if not batcher.has_work:  # idle: jump to the next arrival
+            modeled.now = max(modeled.now, trace[due].arrival_s)
+        while due < len(trace) and trace[due].arrival_s <= modeled.now:
+            spec = trace[due]
+            try:
+                batcher.submit(Request(
+                    due, spec.prompt, GenerationConfig(spec.max_new_tokens),
+                    spec.arrival_s, spec.deadline_s, spec.tier,
+                ))
+            except Overloaded:
+                records[due].outcome = "shed"
+            except Exception as exc:  # noqa: BLE001 — recorded, counted, surfaced
+                records[due].error = repr(exc)
+            due += 1
+        if not batcher.has_work:
+            continue
+        report = batcher.step()
+        for rid in report.finished:
+            state, record = batcher.finished(rid), records[rid]
+            record.outcome = "completed"
+            record.tokens = list(state.seq.generated)
+            record.n_generated = len(record.tokens)
+            record.ttft_s = state.first_token_at - record.arrival_s
+            record.latency_s = state.finished_at - record.arrival_s
+            record.tbt_s = (record.latency_s - record.ttft_s) / max(len(record.tokens) - 1, 1)
+        for rid in report.expired:
+            records[rid].outcome = "expired"
+            records[rid].n_generated = len(batcher.expired(rid).seq.generated)
+    batcher.metrics.stop(modeled.now)
     return LoadResult(
         records=records,
-        metrics=server.metrics_snapshot(),
-        prefix_stats=prefix_stats,
-        wall_s=wall_s,
+        metrics=batcher.metrics.snapshot(),
+        prefix_stats=None if engine.prefix_cache is None else engine.prefix_cache.stats(),
+        wall_s=modeled.now,
         workload=workload.describe(),
     )
-
-
-def run_load(engine, workload: Workload, **server_kwargs) -> LoadResult:
-    """Synchronous one-call path: build a server, drive, tear down.
-
-    ``server_kwargs`` pass through to
-    :class:`~repro.serve.server.ServeServer` (``max_batch_tokens``,
-    ``max_waiting``, ``soft_admit_ratio``, ...).
-    """
-
-    async def main() -> LoadResult:
-        server = ServeServer(engine, **server_kwargs)
-        await server.start()
-        try:
-            return await drive(server, workload)
-        finally:
-            await server.stop()
-
-    return asyncio.run(main())

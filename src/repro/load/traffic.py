@@ -214,9 +214,7 @@ class Workload:
     """An arrival process × traffic model × request count: one trace.
 
     :meth:`build` materializes the scripted requests (arrival offsets
-    merged into the specs, scaled by ``time_scale`` so a long diurnal
-    curve can be compressed into a short test run) and
-    :meth:`digest` fingerprints the whole trace — prompts, arrival
+    merged into the specs) and :meth:`digest` fingerprints the whole trace — prompts, arrival
     times, decode lengths, tiers — as a sha256 hex string.  Two
     workloads with equal digests will drive a server identically.
     """
@@ -226,7 +224,6 @@ class Workload:
     n_requests: int
     seed: int = 0
     vocab: int = 2048
-    time_scale: float = 1.0
     _trace: Optional[List[RequestSpec]] = field(
         default=None, repr=False, compare=False
     )
@@ -237,7 +234,7 @@ class Workload:
             offsets = self.arrivals.offsets(self.n_requests, self.seed)
             specs = self.traffic.make(self.n_requests, self.seed + 1, self.vocab)
             for offset, spec in zip(offsets, specs):
-                spec.arrival_s = float(offset) * self.time_scale
+                spec.arrival_s = float(offset)
             self._trace = specs
         return self._trace
 
@@ -264,7 +261,6 @@ class Workload:
             "n_requests": self.n_requests,
             "seed": self.seed,
             "vocab": self.vocab,
-            "time_scale": self.time_scale,
             "prompt_tokens_total": int(sum(s.prompt_len for s in trace)),
             "max_new_tokens_total": int(sum(s.max_new_tokens for s in trace)),
             "tiers": {

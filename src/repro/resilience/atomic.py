@@ -9,9 +9,8 @@ destination directory* (same filesystem, so the rename is atomic) and
 old complete file or the new complete file, never a torn one.
 
 The :class:`~repro.pipeline.store.CacheStore`, the experiment runner's
-JSON emission (``--json``/``_run_meta.json``), the DSE CLI outputs,
-trace/metrics snapshots and the resilience benchmark's
-``BENCH_resilience.json`` all use these helpers.
+JSON emission (``--json``/``_run_meta.json``), the DSE CLI outputs and
+trace/metrics snapshots all use these helpers.
 """
 
 from __future__ import annotations

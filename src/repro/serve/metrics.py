@@ -144,16 +144,10 @@ class ServeMetrics:
         return self.total_tokens / e if e > 0 else 0.0
 
     def snapshot(self) -> Dict:
-        """A live, poll-safe view of the run so far.
-
-        Historically TTFT/latency percentiles were only read at drain
-        (after :meth:`stop`); ``snapshot()`` is the mid-run view a load
-        harness polls every few hundred milliseconds: it reads the
-        cached-sort histograms and counter values without resetting or
-        mutating anything, so any number of polls leave the final
-        :meth:`to_dict` byte-identical.  Adds the live queue gauges,
-        in-flight count, and prefix-reuse total on top of the
-        :meth:`to_dict` shape.
+        """A live view of the run so far, safe to take mid-run: it
+        mutates nothing, so the final :meth:`to_dict` is unchanged.
+        Adds the live queue gauges, in-flight count, and prefix-reuse
+        total on top of the :meth:`to_dict` shape.
         """
         d = self.to_dict()
         d["tokens"]["prefill_reused"] = self.prefill_reused

@@ -178,14 +178,6 @@ class ServeServer:
         )
         return await self.result(request_id)
 
-    def completed(self) -> List[GenerationResult]:
-        """Results of every request finished so far."""
-        return list(self._results.values())
-
-    def metrics_snapshot(self) -> Dict:
-        """Live :meth:`ServeMetrics.snapshot` — poll-safe mid-run."""
-        return self.metrics.snapshot()
-
     # ------------------------------------------------------------------
     # Hot swap.
     # ------------------------------------------------------------------

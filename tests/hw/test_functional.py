@@ -225,15 +225,24 @@ class TestVectorizedEquivalence:
         w = rng.standard_normal((2, 128))
         x = rng.standard_normal((2, 128)).astype(np.float16)
         cfg = QuantConfig(dtype="bitmod_fp4")
-        gemm = FunctionalGemm(cfg)
         packed = pack_tensor(w, cfg)
         cache = decode_cache()
+        # Default dispatch (fused) caches its layout, not the terms.
+        gemm = FunctionalGemm(cfg)
         first = gemm.run_packed(x, packed)
-        assert cache.contains(packed, "terms")
+        assert cache.contains(packed, "fused")
+        assert not cache.contains(packed, "terms")
         hits_before = cache.hits
         second = gemm.run_packed(x, packed)
         assert cache.hits > hits_before
         _assert_same_execution(first, second)
+        # The numpy backend reuses the memoized term decode.
+        pinned = FunctionalGemm(cfg, backend="numpy")
+        pinned.run_packed(x, packed)
+        assert cache.contains(packed, "terms")
+        hits_before = cache.hits
+        _assert_same_execution(first, pinned.run_packed(x, packed))
+        assert cache.hits > hits_before
 
     def test_subnormal_activations_bit_identical(self, rng):
         """Tiny activations hit the FP16 subnormal decompose path."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.baselines import make_accelerator
-from repro.hw.simulator import simulate
+from repro.hw.simulator import one_pass, simulate
 from repro.models.zoo import get_model_config
 
 
@@ -38,6 +38,20 @@ class TestRegimes:
         c3 = simulate(llama, bm, "generative", 3).cycles
         c6 = simulate(llama, bm, "generative", 6).cycles
         assert 1.5 < c6 / c3 < 2.2  # near the 6/3 traffic ratio
+
+    def test_request_is_its_passes(self, accels, llama):
+        """A generative request is one prefill pass plus ``gen_len``
+        decode passes at the mean context, on any mesh — the
+        composition a load replay prices pass by pass."""
+        mesh = dict(shards=2, stages=2)
+        r = simulate(
+            llama, accels["bitmod"], "generative", 4,
+            prompt_len=64, gen_len=32, **mesh,
+        )
+        prefill = one_pass(llama, accels["bitmod"], 4, 64, 64, **mesh)
+        decode = one_pass(llama, accels["bitmod"], 4, 1, 64 + 16, **mesh)
+        assert r.cycles == prefill[0] + 32 * decode[0]
+        assert r.interconnect_bytes == prefill[2] + 32 * decode[2]
 
     def test_bad_task(self, accels, llama):
         with pytest.raises(ValueError):

@@ -89,14 +89,13 @@ class TestMixedTraffic:
 
 
 class TestWorkload:
-    def _workload(self, seed=0, time_scale=1.0):
+    def _workload(self, seed=0, rate=100.0):
         return Workload(
-            arrivals=PoissonArrivals(100.0),
+            arrivals=PoissonArrivals(rate),
             traffic=_chat(),
             n_requests=50,
             seed=seed,
             vocab=512,
-            time_scale=time_scale,
         )
 
     def test_build_merges_arrivals(self):
@@ -116,12 +115,7 @@ class TestWorkload:
     def test_digest_sensitive_to_seed_and_scale(self):
         base = self._workload().digest()
         assert self._workload(seed=1).digest() != base
-        assert self._workload(time_scale=0.5).digest() != base
-
-    def test_time_scale_compresses(self):
-        slow = self._workload().build()
-        fast = self._workload(time_scale=0.1).build()
-        assert fast[-1].arrival_s == pytest.approx(0.1 * slow[-1].arrival_s)
+        assert self._workload(rate=200.0).digest() != base
 
     def test_describe_shape(self):
         d = self._workload().describe()

@@ -38,11 +38,18 @@ class TestFunctionalReplay:
         assert one.cycles_per_output == four.cycles_per_output
 
     def test_term_decode_cached_across_replays(self, artifact):
+        """The default (fused) path caches only its own layout; the
+        numpy backend caches the decoded term arrays."""
         from repro.kernels.cache import decode_cache
 
-        layer = sorted(artifact.packed)[0]
+        # A layer no other test here replays on the numpy backend.
+        layer = sorted(artifact.packed)[-1]
+        packed = artifact.packed[layer]
         functional_replay(artifact, batch_size=1, layers=[layer])
-        assert decode_cache().contains(artifact.packed[layer], "terms")
+        assert decode_cache().contains(packed, "fused")
+        assert not decode_cache().contains(packed, "terms")
+        functional_replay(artifact, batch_size=1, layers=[layer], backend="numpy")
+        assert decode_cache().contains(packed, "terms")
 
     def test_backend_pin_is_bit_identical(self, artifact):
         layer = sorted(artifact.packed)[0]
