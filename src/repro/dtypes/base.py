@@ -157,14 +157,6 @@ class GridDataType(DataType):
     def absmax(self) -> float:
         return grid_absmax(self._grid)
 
-    @property
-    def max_level(self) -> float:
-        return float(self._grid[-1])
-
-    @property
-    def min_level(self) -> float:
-        return float(self._grid[0])
-
     def is_symmetric_grid(self, tol: float = 1e-12) -> bool:
         """Whether the grid is symmetric around zero."""
         return bool(

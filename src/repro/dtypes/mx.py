@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dtypes.base import DataType, GridDataType, quantize_to_grid
+from repro.dtypes.base import DataType, quantize_to_grid
 from repro.dtypes.floating import FP3_VALUES, FP4_VALUES, float_grid
 
 __all__ = ["MXType"]
@@ -59,14 +59,6 @@ class MXType(DataType):
         if not self.name:
             self.name = f"mx_fp{self.bits}"
         self.element_grid = _ELEMENT_GRIDS[self.bits]
-
-    @property
-    def element_type(self) -> GridDataType:
-        return GridDataType(
-            name=f"fp{self.bits}_mx_elem",
-            bits=self.bits,
-            values=self.element_grid,
-        )
 
     def memory_bits_per_weight(self, group_size: int) -> float:
         # group_size is ignored: MX's metadata granularity is its own

@@ -26,7 +26,7 @@ perturbed token distributions::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -132,14 +132,6 @@ class PerplexityEvaluator:
             return quantize_tensor(w, qconfig).w_deq
 
         return self.evaluate_quantizer(quantize)
-
-    def evaluate_plan(self, plan) -> PerplexityResult:
-        """Evaluate a per-layer :class:`~repro.policy.plan.QuantPlan`.
-
-        Layers outside the plan stay FP16; a uniform plan scores
-        identically to :meth:`evaluate_config` with its shared config.
-        """
-        return self.evaluate_quantizer(plan.as_quantizer())
 
     def fp16_result(self) -> PerplexityResult:
         """The (trivially exact) FP16 row of a table."""

@@ -39,7 +39,7 @@ import importlib
 import sys
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 __all__ = ["EXPERIMENTS", "run_experiment", "main"]
 
@@ -65,6 +65,20 @@ EXPERIMENTS: Dict[str, str] = {
     "ablation_group_size": "repro.experiments.ablation_group_size",
     "ablation_encoding": "repro.experiments.ablation_encoding",
 }
+
+
+def numpy_dispatch() -> List[str]:
+    """The SIMD targets numpy dispatches its loops to in this process.
+
+    Float results of the model forward, PPL cells and DSE digests hold
+    per dispatch path (``docs/contracts.md``), so a run records which
+    path produced them.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 
 
 def run_experiment(name: str, quick: bool = False):
@@ -325,6 +339,7 @@ def main(argv=None) -> int:
             "cache": engine.stats(),
             "cache_dir": None if args.no_cache else str(engine.store.root),
             "metrics": obs.snapshot(),
+            "numpy_dispatch": numpy_dispatch(),
         }
         if run_id is not None:
             meta["run_id"] = run_id

@@ -13,7 +13,7 @@ fields across a whole design space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ArchConfig", "BITMOD_ARCH", "BASELINE_FP16_ARCH"]
 
@@ -126,16 +126,6 @@ class ArchConfig:
     def n_pes(self) -> int:
         """Total PE count of the array (``pe_rows * pe_cols``)."""
         return self.pe_rows * self.pe_cols
-
-    def peak_macs_per_cycle(self, terms_per_weight: int = 1) -> float:
-        """Peak MAC throughput of the whole array, MACs/cycle.
-
-        ``terms_per_weight`` is the bit-serial term count per weight
-        (2-4 depending on precision; ignored for bit-parallel arrays).
-        """
-        if self.bit_serial:
-            return self.n_pes * self.pe_lanes / terms_per_weight
-        return self.n_pes * 1.0
 
     def compute_area_um2(self) -> float:
         """Compute area of the array in um^2: PEs plus per-tile encoders."""

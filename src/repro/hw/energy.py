@@ -64,11 +64,6 @@ class TileCost:
     def area_per_pe(self) -> float:
         return self.total_area / self.n_pes
 
-    @property
-    def energy_per_cycle_pj(self) -> float:
-        """mW at 1 GHz == pJ per cycle."""
-        return self.total_power
-
 
 def fp16_pe_tile_cost() -> TileCost:
     """Table X, baseline row: 6x8 FP16 MAC PEs."""

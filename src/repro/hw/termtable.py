@@ -17,10 +17,10 @@ the paper's Fig. 4 encodings) and memoized per datatype key:
 * BitMoD        -> one table per (bits, special value) candidate grid
 
 :func:`decode_packed_terms` turns a :class:`~repro.quant.packing.
-PackedTensor` into per-group term arrays, reading the tensor's
-word-packed element stream (``PackedTensor.word_image()``, several
-codes per 64-bit word) and memoizing the decoded arrays in the
-bounded kernel decode cache (:mod:`repro.kernels.cache`,
+PackedTensor` into per-group term arrays, reading the element codes
+straight from the tensor's bit-packed DRAM image (``element_data``,
+the one code stream a container holds) and memoizing the decoded
+arrays in the bounded kernel decode cache (:mod:`repro.kernels.cache`,
 ``$REPRO_KERNEL_CACHE_MB``) so serving-path replays decode each
 weight image exactly once — without unbounded growth when many large
 layers are replayed.
@@ -168,16 +168,15 @@ def decode_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
     """Decode a whole packed tensor into per-group term arrays.
 
     Returns ``(sign, exp, man, bsig)`` int8 arrays of shape
-    ``(n_groups, group_size, n_terms)``.  Codes are read from the
-    tensor's word-packed image (multiple codes per 64-bit word,
-    unpacked in one vectorized shift-and-mask) and gathered through
+    ``(n_groups, group_size, n_terms)``.  Codes are unpacked from the
+    tensor's bit-packed ``element_data`` stream and gathered through
     the memoized term tables; uncached (see :func:`decode_packed_terms`).
     """
     tables = term_tables_for_dtype(dtype)
-    from repro.quant.packing import unpack_words  # local: avoid import cycle
+    from repro.quant.packing import unpack_bits  # local: avoid import cycle
     g = packed.group_size
     n_groups = packed.sf_codes.size
-    codes = unpack_words(packed.word_image(), packed.bits, n_groups * g)
+    codes = unpack_bits(packed.element_data, packed.bits, n_groups * g)
     rows = codes.astype(np.int64).reshape(n_groups, g)
     if isinstance(dtype, BitMoDType):
         # Every special-value table spans the full 2**bits code space, so

@@ -70,7 +70,7 @@ class GemmTask:
         m = int(self.x.shape[0])
         k, d = self.packed.shape
         g = int(self.packed.group_size)
-        gpc = self.packed.groups_per_channel or max(1, (d + g - 1) // g)
+        gpc = self.packed.groups_per_channel
         pad = gpc * g - d
         return m, int(k), int(d), g, int(gpc), int(pad)
 

@@ -23,7 +23,7 @@ from repro.hw.pe import BitMoDPE
 from repro.hw.termtable import ASYMMETRIC_REJECT_MSG
 from repro.kernels.base import GemmExecution, GemmTask, KernelBackend, register_backend
 
-__all__ = ["ReferenceBackend", "decode_group_terms", "rows_per_channel"]
+__all__ = ["ReferenceBackend", "decode_group_terms"]
 
 
 def decode_group_terms(packed, dtype, group_idx: int) -> List[List[BitSerialTerm]]:
@@ -49,14 +49,6 @@ def decode_group_terms(packed, dtype, group_idx: int) -> List[List[BitSerialTerm
     raise TypeError(f"unsupported datatype {dtype!r}")
 
 
-def rows_per_channel(packed, k: int) -> int:
-    # Prefer the explicit layout carried by the packed tensor;
-    # size-division inference mis-scales ragged/padded shapes.
-    if packed.groups_per_channel:
-        return packed.groups_per_channel
-    return max(1, packed.sf_codes.size // max(1, packed.channel_scales.size))
-
-
 @register_backend
 class ReferenceBackend(KernelBackend):
     """The scalar ground-truth engine (never picked by default)."""
@@ -71,14 +63,8 @@ class ReferenceBackend(KernelBackend):
     def run(self, task: GemmTask) -> GemmExecution:
         packed = task.packed
         pe = BitMoDPE(task.pe_config)
-        x = task.x
-        m = x.shape[0]
-        k, d = packed.shape
-        g = packed.group_size
-        groups_per_channel = (d + g - 1) // g
-        pad = groups_per_channel * g - d
-        if pad:
-            x = np.pad(x, ((0, 0), (0, pad)))
+        x = task.padded_x()
+        m, k, _, g, groups_per_channel, _ = task.geometry()
 
         out = np.zeros((m, k))
         pe_cycles = 0
@@ -94,12 +80,7 @@ class ReferenceBackend(KernelBackend):
                     sf_code = int(packed.sf_codes[gidx])
                     if packed.zeros is None:
                         deq = pe.dequantize(partial, sf_code)
-                        chan_scale = float(
-                            packed.channel_scales[
-                                gidx // rows_per_channel(packed, k)
-                            ]
-                        )
-                        acc += deq.value * chan_scale
+                        acc += deq.value * float(packed.channel_scales[row])
                         pe_cycles += partial.cycles  # dequant overlaps
                     groups += 1
                 out[mi, row] = acc

@@ -22,7 +22,7 @@ import numpy as np
 from repro.dtypes.base import GridDataType, snap_indices
 from repro.dtypes.extended import BitMoDType, make_extended_float
 from repro.dtypes.integer import IntegerType
-from repro.quant.config import QuantConfig, QuantResult, quantize_tensor
+from repro.quant.config import QuantConfig, quantize_tensor
 from repro.quant.granularity import from_rows, rows_per_channel, to_rows
 from repro.quant.scale import quantize_scales
 
@@ -32,13 +32,7 @@ __all__ = [
     "unpack_tensor",
     "pack_bits",
     "unpack_bits",
-    "pack_words",
-    "unpack_words",
-    "WORD_BITS",
 ]
-
-#: Machine-word width of the word-packed layout (one DRAM burst beat).
-WORD_BITS = 64
 
 
 def pack_bits(codes: np.ndarray, bits: int) -> bytes:
@@ -70,48 +64,6 @@ def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
     return codes
 
 
-def pack_words(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack ``codes`` (< 2**bits) into uint64 words, LSB-first.
-
-    The word layout never straddles a word boundary: each 64-bit word
-    carries ``64 // bits`` whole codes (code ``i`` of a word sits at
-    bit offset ``i * bits``), the remaining high bits are zero.  That
-    is the layout a burst-oriented decoder wants — whole codes fall
-    out of one shift-and-mask per position — and what the kernel
-    backends decode in bulk.
-    """
-    if not 1 <= bits <= WORD_BITS:
-        raise ValueError(f"bits must be in [1, {WORD_BITS}], got {bits}")
-    codes = np.asarray(codes, dtype=np.uint64).reshape(-1)
-    if codes.size and int(codes.max()) >= 2**bits:
-        raise ValueError(f"code does not fit in {bits} bits")
-    cpw = WORD_BITS // bits
-    n_words = (codes.size + cpw - 1) // cpw
-    padded = np.zeros(n_words * cpw, dtype=np.uint64)
-    padded[: codes.size] = codes
-    shifts = (np.arange(cpw, dtype=np.uint64) * np.uint64(bits))[None, :]
-    return (padded.reshape(n_words, cpw) << shifts).sum(
-        axis=1, dtype=np.uint64
-    )
-
-
-def unpack_words(words: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_words`: the first ``count`` codes."""
-    if not 1 <= bits <= WORD_BITS:
-        raise ValueError(f"bits must be in [1, {WORD_BITS}], got {bits}")
-    words = np.asarray(words, dtype=np.uint64).reshape(-1)
-    cpw = WORD_BITS // bits
-    if count > words.size * cpw:
-        raise ValueError(
-            f"cannot unpack {count} codes from {words.size} words "
-            f"({cpw} codes per word)"
-        )
-    shifts = (np.arange(cpw, dtype=np.uint64) * np.uint64(bits))[None, :]
-    mask = np.uint64(2**bits - 1) if bits < WORD_BITS else np.uint64(0xFFFFFFFFFFFFFFFF)
-    codes = (words[:, None] >> shifts) & mask
-    return codes.reshape(-1)[:count]
-
-
 @dataclass
 class PackedTensor:
     """A serialized quantized tensor (the DRAM image)."""
@@ -123,13 +75,12 @@ class PackedTensor:
     element_data: bytes
     sf_codes: np.ndarray  # uint8 per group
     channel_scales: np.ndarray  # float per channel (second-level factor)
-    sv_selectors: Optional[np.ndarray] = None  # uint8 per group (BitMoD)
-    zeros: Optional[np.ndarray] = None  # integer zero points (asym int)
     #: Groups per output channel, carried explicitly from the row
     #: layout (inferring it from array-size division silently
-    #: mis-scales channel scales for padded/ragged shapes).  ``None``
-    #: only for containers written before the field existed.
-    groups_per_channel: Optional[int] = None
+    #: mis-scales channel scales for padded/ragged shapes).
+    groups_per_channel: int
+    sv_selectors: Optional[np.ndarray] = None  # uint8 per group (BitMoD)
+    zeros: Optional[np.ndarray] = None  # integer zero points (asym int)
 
     @property
     def total_bytes(self) -> int:
@@ -151,23 +102,6 @@ class PackedTensor:
     def n_codes(self) -> int:
         """Element codes in the image (includes group padding)."""
         return int(self.sf_codes.size) * int(self.group_size)
-
-    def word_image(self) -> np.ndarray:
-        """The element stream re-packed as 64-bit words (lazily built,
-        cached on the container).
-
-        Words hold ``64 // bits`` whole codes each (:func:`pack_words`)
-        — the burst-friendly layout the kernel backends decode in bulk
-        — while ``element_data`` stays the tightly bit-packed DRAM
-        image whose byte count the memory model charges for.
-        """
-        cached = getattr(self, "_word_image", None)
-        if cached is None:
-            codes = unpack_bits(self.element_data, self.bits, self.n_codes)
-            cached = pack_words(codes, self.bits)
-            cached.setflags(write=False)
-            self._word_image = cached
-        return cached
 
 
 def pack_tensor(w: np.ndarray, config: QuantConfig) -> PackedTensor:
@@ -262,9 +196,8 @@ def unpack_tensor(packed: PackedTensor, config: QuantConfig) -> np.ndarray:
         # Asymmetric integer: per-group FP scale stored directly.
         scales = packed.channel_scales.reshape(n_rows, 1)
     else:
-        rpc = packed.groups_per_channel or rows_per_channel(layout)
         scales = (
-            packed.sf_codes.astype(np.float64).reshape(-1, rpc)
+            packed.sf_codes.astype(np.float64).reshape(-1, packed.groups_per_channel)
             * packed.channel_scales.reshape(-1, 1)
         ).reshape(n_rows, 1)
 

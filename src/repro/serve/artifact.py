@@ -450,6 +450,11 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
         if t["kind"] == "raw":
             raw[t["name"]] = _read_array(blob, blobs["data"])
             continue
+        if "groups_per_channel" not in t:
+            raise ValueError(
+                f"{path}: packed tensor {t['name']!r} has no "
+                f"groups_per_channel in its header"
+            )
         e = blobs["element_data"]
         packed[t["name"]] = PackedTensor(
             dtype_name=t["dtype_name"],
@@ -465,9 +470,7 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
                 else None
             ),
             zeros=_read_array(blob, blobs["zeros"]) if "zeros" in blobs else None,
-            # Containers written before the field existed fall back to
-            # size-division inference downstream.
-            groups_per_channel=t.get("groups_per_channel"),
+            groups_per_channel=t["groups_per_channel"],
         )
 
     q = header["quant"]

@@ -89,6 +89,9 @@ class RequestState:
     #: so artifact hot swaps never touch an in-flight KV cache).
     engine: Optional[InferenceEngine] = None
     expired: bool = False
+    #: Host wall time (``time.time_ns()``) at submit: the start of the
+    #: request's trace span, on the same clock as the step spans.
+    submitted_wall_ns: int = 0
 
     @property
     def request_id(self) -> int:
@@ -154,7 +157,11 @@ class ContinuousBatcher:
         self.soft_admit_ratio = soft_admit_ratio
         self.clock = clock
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self._waiting: Deque[RequestState] = deque()
+        #: One FIFO queue per SLO tier, highest priority first.
+        self._waiting: Dict[int, Deque[RequestState]] = {
+            priority: deque()
+            for priority in sorted(set(SLO_TIERS.values()), reverse=True)
+        }
         self._running: Deque[RequestState] = deque()
         self._finished: Dict[int, RequestState] = {}
         self._expired: Dict[int, RequestState] = {}
@@ -187,16 +194,17 @@ class ContinuousBatcher:
                 f"known: {', '.join(SLO_TIERS)}"
             )
         limit = self.admit_limit(request.tier)
-        if limit is not None and len(self._waiting) >= limit:
+        n_waiting = self.n_waiting
+        if limit is not None and n_waiting >= limit:
             self.metrics.rejected += 1
             self.metrics.registry.counter(
                 "serve.requests.shed", tier=request.tier
             ).inc()
             raise Overloaded(
                 f"admission queue full for tier {request.tier!r} "
-                f"({len(self._waiting)} waiting, limit {limit})",
+                f"({n_waiting} waiting, limit {limit})",
                 request_id=request.request_id,
-                waiting=len(self._waiting),
+                waiting=n_waiting,
                 tier=request.tier,
             )
         if not request.submitted_at:
@@ -210,22 +218,27 @@ class ContinuousBatcher:
                 f"budget of {self.max_batch_tokens}"
             )
         seq = self.engine.start_sequence(request.prompt, request.generation)
-        state = RequestState(request=request, seq=seq, engine=self.engine)
+        state = RequestState(
+            request=request,
+            seq=seq,
+            engine=self.engine,
+            submitted_wall_ns=time.time_ns(),
+        )
         if request.deadline_s is not None:
             state.deadline_at = request.submitted_at + request.deadline_s
-        self._waiting.append(state)
+        self._waiting[request.priority].append(state)
         self.metrics.submitted += 1
-        self.metrics.queue_waiting.set(len(self._waiting))
+        self.metrics.queue_waiting.set(n_waiting + 1)
         self.metrics.start(self.clock())
         return state
 
     @property
     def has_work(self) -> bool:
-        return bool(self._waiting or self._running)
+        return bool(self._running) or self.n_waiting > 0
 
     @property
     def n_waiting(self) -> int:
-        return len(self._waiting)
+        return sum(map(len, self._waiting.values()))
 
     @property
     def n_running(self) -> int:
@@ -296,11 +309,11 @@ class ContinuousBatcher:
             # budget, earliest request of the highest waiting tier
             # first (strict priority: a blocked high-tier head also
             # blocks lower tiers, so they cannot jump the class).
-            while self._waiting and len(self._running) < self.max_running:
-                state = max(self._waiting, key=lambda s: s.priority)
-                if state.seq.prompt.size > budget:
+            while len(self._running) < self.max_running:
+                queue = next((q for q in self._waiting.values() if q), None)
+                if queue is None or queue[0].seq.prompt.size > budget:
                     break
-                self._waiting.remove(state)
+                state = queue.popleft()
                 budget -= state.seq.prompt.size
                 with (
                     TRACER.span(
@@ -329,7 +342,7 @@ class ContinuousBatcher:
             self.metrics.steps += 1
             self.metrics.prefill_tokens += report.prefill_tokens
             self.metrics.decode_tokens += report.generated_tokens
-            self.metrics.queue_waiting.set(len(self._waiting))
+            self.metrics.queue_waiting.set(self.n_waiting)
             self.metrics.queue_running.set(len(self._running))
             if sp is not None:
                 sp.args.update(
@@ -377,7 +390,7 @@ class ContinuousBatcher:
         request's future as :class:`~repro.serve.errors.DeadlineExceeded`.
         """
         now = self.clock()
-        for queue in (self._waiting, self._running):
+        for queue in (*self._waiting.values(), self._running):
             overdue = [
                 s
                 for s in queue
@@ -404,15 +417,16 @@ class ContinuousBatcher:
         if TRACER.enabled:
             # The request lifecycle cannot be a lexical block — submit
             # and completion land on different steps — so emit it with
-            # explicit timestamps (scheduler clock mapped onto wall).
-            dur_ns = int(latency * 1e9)
+            # explicit host timestamps, the clock every other serve span
+            # uses; the scheduler-clock timings ride along as args.
             TRACER.add_span(
                 "serve.request",
-                start_wall_ns=time.time_ns() - dur_ns,
-                dur_ns=dur_ns,
+                start_wall_ns=state.submitted_wall_ns,
+                dur_ns=time.time_ns() - state.submitted_wall_ns,
                 request=state.request_id,
                 prompt_tokens=int(state.seq.prompt.size),
                 generated_tokens=len(state.seq.generated),
+                latency_s=latency,
                 ttft_s=(
                     None
                     if state.first_token_at is None

@@ -72,6 +72,9 @@ class TestRunnerCLI:
         assert meta["experiments"] == ["table10"]
         assert meta["wall_seconds"] > 0
         assert {"hits", "misses", "hit_rate", "computed"} <= set(meta["cache"])
+        dispatch = meta["numpy_dispatch"]
+        assert isinstance(dispatch, list)
+        assert all(isinstance(target, str) for target in dispatch)
 
     def test_no_cache_flag(self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -8,6 +8,7 @@ settings), so every count below is exact."""
 
 import time
 
+from repro import obs
 from repro.load import (
     BurstyArrivals,
     PoissonArrivals,
@@ -183,6 +184,28 @@ class TestDeterminism:
         assert first.wall_s == second.wall_s
         assert elapsed < 10.0, f"two 1000-request replays took {elapsed:.1f}s"
         assert run(1).records != first.records
+
+
+class TestTracedReplay:
+    def test_request_spans_contain_their_prefill(self, tiny_model):
+        """``serve.request`` spans run on host time, like the step and
+        prefill spans: each lies inside the replay's host window and
+        contains its own ``serve.prefill`` span, while its modeled
+        latency rides along as an arg."""
+        engine = InferenceEngine(tiny_model, prefix_cache=PrefixKVCache())
+        start_ns = time.time_ns()
+        with obs.capture(tracing=True) as cap:
+            result = replay(engine, _chat_workload(50), max_batch_tokens=256)
+        end_ns = time.time_ns()
+        requests = {s["args"]["request"]: s for s in cap.spans if s["name"] == "serve.request"}
+        prefills = {s["args"]["request"]: s for s in cap.spans if s["name"] == "serve.prefill"}
+        assert result.completed == 50
+        assert sorted(requests) == sorted(prefills) == list(range(50))
+        for rid, req in requests.items():
+            pre = prefills[rid]
+            assert start_ns <= req["ts_ns"] <= pre["ts_ns"]
+            assert pre["ts_ns"] + pre["dur_ns"] <= req["ts_ns"] + req["dur_ns"] <= end_ns
+            assert req["args"]["latency_s"] == result.records[rid].latency_s
 
 
 class TestDerivedPricing:

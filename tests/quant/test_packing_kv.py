@@ -1,5 +1,7 @@
 """Tests for weight packing and KV-cache quantization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,65 +10,12 @@ from hypothesis import strategies as st
 from repro.quant.config import QuantConfig, quantize_tensor
 from repro.quant.kv import KVQuantConfig, quantize_kv
 from repro.quant.packing import (
-    WORD_BITS,
+    PackedTensor,
     pack_bits,
     pack_tensor,
-    pack_words,
     unpack_bits,
     unpack_tensor,
-    unpack_words,
 )
-
-
-class TestWordPacking:
-    @given(
-        bits=st.integers(1, 12),
-        seed=st.integers(0, 2**16),
-        count=st.integers(1, 500),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, bits, seed, count):
-        rng = np.random.default_rng(seed)
-        codes = rng.integers(0, 2**bits, size=count).astype(np.uint64)
-        words = pack_words(codes, bits)
-        cpw = WORD_BITS // bits
-        assert words.dtype == np.uint64
-        assert words.size == (count + cpw - 1) // cpw
-        np.testing.assert_array_equal(unpack_words(words, bits, count), codes)
-
-    def test_codes_never_straddle_words(self):
-        """Code i of a word sits at bit offset i*bits: 16 whole 4-bit
-        codes per 64-bit word, high bits zero when underfull."""
-        codes = np.arange(16, dtype=np.uint64)
-        words = pack_words(codes, 4)
-        assert words.size == 1
-        expected = sum(int(c) << (4 * i) for i, c in enumerate(codes))
-        assert int(words[0]) == expected
-        # 17th code starts a fresh word at offset 0.
-        words2 = pack_words(np.arange(17, dtype=np.uint64) % 16, 4)
-        assert int(words2[1]) == 0  # code value 16 % 16 == 0
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            pack_words(np.array([16]), 4)
-        with pytest.raises(ValueError):
-            pack_words(np.array([1]), 0)
-
-    def test_unpack_count_validated(self):
-        words = pack_words(np.arange(8, dtype=np.uint64), 4)
-        with pytest.raises(ValueError, match="cannot unpack"):
-            unpack_words(words, 4, 17)
-
-    def test_word_image_matches_bit_stream(self, rng):
-        """The lazy word image decodes to the same codes as the
-        bit-packed DRAM stream, and is built exactly once."""
-        cfg = QuantConfig(dtype="bitmod_fp4", group_size=32)
-        packed = pack_tensor(rng.standard_normal((3, 64)), cfg)
-        img = packed.word_image()
-        assert packed.word_image() is img  # cached
-        from_words = unpack_words(img, packed.bits, packed.n_codes)
-        from_bits = unpack_bits(packed.element_data, packed.bits, packed.n_codes)
-        np.testing.assert_array_equal(from_words, from_bits)
 
 
 class TestBitPacking:
@@ -139,6 +88,24 @@ class TestTensorPacking:
         cfg = QuantConfig(dtype="fp4")
         recon = unpack_tensor(pack_tensor(w, cfg), cfg)
         np.testing.assert_allclose(recon, quantize_tensor(w, cfg).w_deq, atol=1e-12)
+
+    def test_groups_per_channel_stated(self, rng):
+        """Every container states its row layout: a 100-wide row in
+        32-wide groups is 4 groups (the last one padded), and a
+        container built without the field is refused, never inferred."""
+        packed = pack_tensor(
+            rng.standard_normal((5, 100)), QuantConfig(dtype="int4_sym", group_size=32)
+        )
+        assert packed.groups_per_channel == 4
+        assert packed.sf_codes.size == 5 * 4
+        assert packed.channel_scales.size == 5
+        fields = {
+            f.name: getattr(packed, f.name)
+            for f in dataclasses.fields(packed)
+            if f.name != "groups_per_channel"
+        }
+        with pytest.raises(TypeError, match="groups_per_channel"):
+            PackedTensor(**fields)
 
 
 class TestKVQuant:

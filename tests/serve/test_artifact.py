@@ -1,5 +1,8 @@
 """Artifact format: byte-exact save/load round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,30 @@ class TestContainer:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="format v9"):
             load_artifact(path)
+
+    def test_missing_groups_per_channel_rejected(self, tmp_path, model):
+        """A packed tensor header without ``groups_per_channel`` is a
+        structured error naming the field; the value is never inferred
+        from array sizes."""
+        path = tmp_path / "m.rsrv"
+        save_artifact(path, model, QuantConfig(dtype="int4_sym"))
+        data = path.read_bytes()
+        pos = len(ARTIFACT_MAGIC)
+        (header_len,) = struct.unpack("<I", data[pos : pos + 4])
+        header = json.loads(data[pos + 4 : pos + 4 + header_len])
+        packed = next(t for t in header["tensors"] if t["kind"] == "packed")
+        del packed["groups_per_channel"]
+        new_header = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            ARTIFACT_MAGIC
+            + struct.pack("<I", len(new_header))
+            + new_header
+            + data[pos + 4 + header_len :]
+        )
+        with pytest.raises(ValueError, match="groups_per_channel") as err:
+            load_artifact(path)
+        assert packed["name"] in str(err.value)
+        assert not isinstance(err.value, KeyError)
 
     def test_magic_prefix_on_disk(self, tmp_path, model):
         path = tmp_path / "m.rsrv"

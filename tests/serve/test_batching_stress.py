@@ -248,3 +248,73 @@ class TestAdmissionShedding:
         assert first.prefilled == [2]  # interactive first despite FIFO order
         second = batcher.step()
         assert second.prefilled[0] == 1
+
+    def test_admission_fifo_after_expiry_and_blocked_head(self):
+        """Within a tier admission stays FIFO after an expiry removes a
+        middle request, and a high-tier head that does not fit the
+        leftover budget blocks every lower tier that would."""
+        now = [1.0]
+        batcher = ContinuousBatcher(
+            FakeEngine(), max_batch_tokens=4, clock=lambda: now[0]
+        )
+        for rid, tier, prompt_len, deadline in [
+            (0, "standard", 2, None),
+            (1, "standard", 2, 0.5),
+            (2, "standard", 2, None),
+            (3, "interactive", 3, None),
+            (4, "batch", 1, None),
+        ]:
+            batcher.submit(
+                Request(
+                    request_id=rid,
+                    prompt=np.arange(1, prompt_len + 1),
+                    generation=GenerationConfig(max_new_tokens=1),
+                    deadline_s=deadline,
+                    tier=tier,
+                )
+            )
+        now[0] = 2.0
+        first = batcher.step()
+        assert first.expired == [1]
+        # Interactive leaves 1 token; the standard head needs 2, so the
+        # 1-token batch request may not jump it.
+        assert first.prefilled == [3]
+        assert batcher.step().prefilled == [0, 2]
+        assert batcher.step().prefilled == [4]
+        assert not batcher.has_work
+
+    def test_waiting_count_spans_tiers(self):
+        """The admission limit, ``n_waiting`` and the ``queue_waiting``
+        gauge count every tier's queue together: waiting interactive and
+        standard requests fill the bound that sheds a batch request."""
+        batcher = ContinuousBatcher(
+            FakeEngine(), max_batch_tokens=64, max_waiting=4, soft_admit_ratio=0.5
+        )
+
+        def submit(rid, tier):
+            return batcher.submit(
+                Request(request_id=rid, prompt=np.arange(1, 3), tier=tier,
+                        submitted_at=1.0)
+            )
+
+        submit(0, "interactive")
+        submit(1, "standard")
+        assert batcher.n_waiting == 2
+        assert batcher.metrics.queue_waiting.value == 2
+        assert batcher.has_work
+        with pytest.raises(Overloaded) as shed:
+            submit(2, "batch")
+        assert shed.value.details["waiting"] == 2
+        submit(3, "standard")
+        submit(4, "interactive")
+        with pytest.raises(Overloaded) as full:
+            submit(5, "interactive")
+        assert full.value.details["waiting"] == 4
+        assert batcher.n_waiting == 4
+        assert batcher.metrics.queue_waiting.value == 4
+        assert batcher.step().prefilled == [0, 4, 1, 3]
+        assert batcher.n_waiting == 0
+        assert batcher.metrics.queue_waiting.value == 0
+        while batcher.has_work:
+            batcher.step()
+        assert batcher.metrics.completed == 4

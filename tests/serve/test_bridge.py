@@ -1,5 +1,7 @@
 """Bit-accurate functional replay of packed serving artifacts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,15 @@ class TestFunctionalReplay:
         )[0]
         assert pinned.pe_cycles == default.pe_cycles
         assert pinned.max_abs_err == default.max_abs_err
+
+    def test_replay_leaves_containers_as_declared(self, artifact):
+        """Replaying every layer caches nothing on the packed tensors:
+        each holds exactly its dataclass fields, so ``element_data``
+        stays the only code stream it carries."""
+        functional_replay(artifact, batch_size=1)
+        for name, packed in artifact.packed.items():
+            fields = {f.name for f in dataclasses.fields(packed)}
+            assert set(vars(packed)) == fields, name
 
     def test_bad_batch_size_rejected(self, artifact):
         with pytest.raises(ValueError):
