@@ -12,8 +12,9 @@ by ``(tensor identity, kind)`` under a byte budget
 * ``kind="fused"`` — the transposed layout the ``fused`` backend
   precomputes per weight image.
 
-Entries die with their tensor (a ``weakref.finalize`` per entry), so
-the cache cannot resurrect or outlive packed tensors, and the stored
+Entries die with their tensor (a ``weakref.finalize`` per entry, which
+holds the cache only weakly), so the cache cannot resurrect or outlive
+packed tensors, a dropped or reset cache frees its arrays, and the stored
 ``token`` (e.g. the identity of the memoized term tables) guards
 against content aliasing the way the old per-tensor key did.
 
@@ -104,8 +105,12 @@ class DecodeCache:
         self._entries[key] = (token, value, nbytes)
         self.total_bytes += nbytes
         # Entries die with their tensor: no resurrection, and a reused
-        # id() can never alias a dead object's entry.
-        self._finalizers[key] = weakref.finalize(obj, self._discard, key)
+        # id() can never alias a dead object's entry.  The finalizer
+        # holds the cache weakly, so a dropped or reset cache frees its
+        # arrays even while its tensors live on.
+        self._finalizers[key] = weakref.finalize(
+            obj, _discard_if_alive, weakref.ref(self), key
+        )
         obs.gauge("kernels.decode.bytes").set(self.total_bytes)
         return value
 
@@ -141,6 +146,13 @@ class DecodeCache:
         if fin is not None:
             fin.detach()
         obs.gauge("kernels.decode.bytes").set(self.total_bytes)
+
+
+def _discard_if_alive(cache_ref: weakref.ref, key: Tuple[int, str]) -> None:
+    """Per-entry finalizer: a no-op once its cache is gone."""
+    cache = cache_ref()
+    if cache is not None:
+        cache._discard(key)
 
 
 # ----------------------------------------------------------------------

@@ -58,12 +58,15 @@ def _softmax_inplace(shifted: np.ndarray, axis: int) -> np.ndarray:
 def gelu(x: np.ndarray) -> np.ndarray:
     """Tanh-approximated GELU (GPT/OPT/Phi activation).
 
-    Evaluates ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))``
+    Evaluates ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * (x * x * x))))``
     operator by operator in two temporaries; every product and sum is
     the one the expression computes (IEEE ``*`` and ``+`` commute), so
-    float64 results are bit-identical to it.
+    float64 results are bit-identical to it.  The cube is two
+    multiplies, not ``x**3``: numpy's general ``pow`` costs several
+    times more per element and rounds differently.
     """
-    t = x**3
+    t = x * x
+    t *= x
     t *= 0.044715
     t += x
     t *= np.sqrt(2.0 / np.pi)

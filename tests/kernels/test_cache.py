@@ -1,6 +1,7 @@
 """Bounded LRU decode cache: budget, eviction, counters, lifetime."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestDecodeCache:
         assert cache.stats()["entries"] == 0
         assert cache.total_bytes == 0
 
+    def test_dropped_cache_is_freed_while_its_object_lives(self):
+        cache = DecodeCache(budget_bytes=1 << 20)
+        obj = Holder()
+        cache.put(obj, "terms", "t", _arr(64))
+        cache_ref = weakref.ref(cache)
+        del cache
+        gc.collect()
+        assert cache_ref() is None
+
     def test_tuple_values_counted_by_total_nbytes(self):
         cache = DecodeCache(budget_bytes=100)
         obj = Holder()
@@ -97,6 +107,19 @@ class TestDecodeCache:
         second = reset_decode_cache()
         assert decode_cache() is second
         assert second is not first
+
+    def test_reset_frees_the_replaced_cache(self):
+        obj = Holder()
+        try:
+            old = reset_decode_cache()
+            old.put(obj, "fused", "t", _arr(64))
+            old_ref = weakref.ref(old)
+            del old
+            reset_decode_cache()
+            gc.collect()
+            assert old_ref() is None
+        finally:
+            reset_decode_cache()
 
     def test_counters_surface_in_obs_snapshot(self):
         from repro import obs

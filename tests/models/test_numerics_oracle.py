@@ -30,7 +30,7 @@ def oracle_softmax(x, axis=-1):
 
 
 def oracle_gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def oracle_causal_attention(q, k, v, past_len=0):
