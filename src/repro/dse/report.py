@@ -27,7 +27,6 @@ __all__ = [
     "SUMMARY_COLUMNS",
     "frontier_records",
     "frontier_table",
-    "point_detail",
     "to_csv",
     "to_json",
     "to_markdown",
@@ -154,35 +153,6 @@ def frontier_table(
     for r in records:
         table.add_row(*_summary_row(r))
     return table
-
-
-def point_detail(record: Dict) -> Dict:
-    """Full per-point detail: architecture, timing, energy breakdown."""
-    return {
-        "point": {
-            k: record[k]
-            for k in ("space", "model", "task", "dtype", "granularity", "bits")
-        },
-        "arch": dict(record["arch"]),
-        "area_mm2": record["area_mm2"],
-        "timing": {
-            "cycles": record["cycles"],
-            "time_ms": record["time_ms"],
-            "speedup_vs_fp16": record["speedup"],
-        },
-        "energy_uj": {
-            "dram": record["dram_uj"],
-            "buffer": record["buffer_uj"],
-            "core": record["core_uj"],
-            "total": record["total_uj"],
-        },
-        "edp": {"value": record["edp"], "norm_vs_fp16": record["edp_norm"]},
-        "accuracy": {
-            "ppl": record["ppl"],
-            "fp16_ppl": record["fp16_ppl"],
-            "dppl": record["dppl"],
-        },
-    }
 
 
 def _flat(records: Sequence[Dict]) -> List[Dict]:

@@ -26,6 +26,7 @@ is observable.
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 from collections import OrderedDict
@@ -35,19 +36,26 @@ import numpy as np
 
 from repro import obs
 
-__all__ = ["DecodeCache", "decode_cache", "reset_decode_cache"]
+__all__ = ["DecodeCache", "decode_cache", "env_budget_bytes", "reset_decode_cache"]
 
 #: Default byte budget when ``$REPRO_KERNEL_CACHE_MB`` is unset.
 DEFAULT_BUDGET_MB = 256.0
 
 
-def _env_budget_bytes() -> int:
-    raw = os.environ.get("REPRO_KERNEL_CACHE_MB", "")
+def env_budget_bytes(var: str, default_mb: float) -> int:
+    """The byte budget ``$var`` names in MiB.
+
+    Unset, unparsable or non-finite values (``nan``, ``inf``, ``1e400``)
+    fall back to ``default_mb``; negative ones clamp to 0.
+    """
     try:
-        mb = float(raw) if raw else DEFAULT_BUDGET_MB
+        mb = float(os.environ.get(var) or default_mb)
     except ValueError:
-        mb = DEFAULT_BUDGET_MB
-    return max(0, int(mb * 1024 * 1024))
+        mb = default_mb
+    nbytes = mb * 1024 * 1024
+    if not math.isfinite(nbytes):
+        nbytes = default_mb * 1024 * 1024
+    return max(0, int(nbytes))
 
 
 def _nbytes(value: Any) -> int:
@@ -63,7 +71,9 @@ class DecodeCache:
 
     def __init__(self, budget_bytes: Optional[int] = None):
         self.budget_bytes = (
-            _env_budget_bytes() if budget_bytes is None else int(budget_bytes)
+            env_budget_bytes("REPRO_KERNEL_CACHE_MB", DEFAULT_BUDGET_MB)
+            if budget_bytes is None
+            else int(budget_bytes)
         )
         # key -> (token, value, nbytes); insertion order is LRU order.
         self._entries: "OrderedDict[Tuple[int, str], Tuple[Hashable, Any, int]]" = (

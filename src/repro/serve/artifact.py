@@ -90,10 +90,6 @@ class ModelArtifact:
     #: Per-layer mixed-precision plan, when the artifact was packed
     #: from one (``None`` = uniform ``quant_config`` artifact).
     plan: Optional[QuantPlan] = None
-    #: Set when this artifact is one shard of a mesh-partitioned set
-    #: (see :mod:`repro.shard.artifact`): mesh dict, shard coordinates,
-    #: covered layer range, and the set's mesh digest.
-    shard_header: Optional[Dict] = None
 
     @property
     def packed_bytes(self) -> int:
@@ -125,13 +121,6 @@ class ModelArtifact:
 
     def instantiate(self) -> CausalLM:
         """Rebuild the quantized :class:`CausalLM` from the artifact."""
-        if self.shard_header is not None:
-            raise ValueError(
-                f"artifact is shard {self.shard_header['shard_index']} of "
-                f"{self.shard_header['n_shards']}, not a full model; load "
-                "the set with repro.shard.load_sharded_artifact and rebuild "
-                "the model with repro.shard.merge_shards"
-            )
         weights = {k: v.copy() for k, v in self.raw_weights.items()}
         for name, p in self.packed.items():
             weights[name] = unpack_tensor(p, self.tensor_config(name))
@@ -384,8 +373,6 @@ def write_artifact(path: Union[str, Path], artifact: ModelArtifact) -> None:
     }
     if artifact.plan is not None:
         header["plan"] = artifact.plan.to_dict()
-    if artifact.shard_header is not None:
-        header["shard"] = artifact.shard_header
     # Integrity envelope: total blob-section size catches truncation,
     # the sha256 catches bit rot.  Optional fields — containers written
     # before they existed load fine — so ARTIFACT_VERSION stays 1.
@@ -428,6 +415,11 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
         raise ValueError(
             f"{path}: artifact format v{header['format_version']} "
             f"unsupported (reader is v{ARTIFACT_VERSION})"
+        )
+    if "shard" in header:
+        raise ValueError(
+            f"{path}: container holds one device's slice of a model (its "
+            "header has a shard block); a mesh serves the full artifact"
         )
     blob = data[pos + header_len :]
     if verify and "blob_nbytes" in header:
@@ -491,7 +483,4 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
         # Uniform artifacts (and containers written before plans
         # existed) simply carry no plan block.
         plan=None if "plan" not in header else QuantPlan.from_dict(header["plan"]),
-        # Single-device artifacts (all containers before sharding
-        # existed) carry no shard block.
-        shard_header=header.get("shard"),
     )

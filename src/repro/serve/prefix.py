@@ -32,13 +32,13 @@ Memory
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.kernels.cache import env_budget_bytes
 
 __all__ = ["PrefixKVCache", "DEFAULT_BUDGET_MB", "DEFAULT_BLOCK_TOKENS"]
 
@@ -48,15 +48,6 @@ DEFAULT_BUDGET_MB = 64.0
 DEFAULT_BLOCK_TOKENS = 16
 
 Snapshot = List[Tuple[np.ndarray, np.ndarray]]
-
-
-def _env_budget_bytes() -> int:
-    raw = os.environ.get("REPRO_PREFIX_CACHE_MB", "")
-    try:
-        mb = float(raw) if raw else DEFAULT_BUDGET_MB
-    except ValueError:
-        mb = DEFAULT_BUDGET_MB
-    return max(0, int(mb * 1024 * 1024))
 
 
 def _snapshot_nbytes(snapshot: Snapshot) -> int:
@@ -81,7 +72,9 @@ class PrefixKVCache:
             raise ValueError("block_tokens must be at least 1")
         self.block_tokens = int(block_tokens)
         self.budget_bytes = (
-            _env_budget_bytes() if budget_bytes is None else int(budget_bytes)
+            env_budget_bytes("REPRO_PREFIX_CACHE_MB", DEFAULT_BUDGET_MB)
+            if budget_bytes is None
+            else int(budget_bytes)
         )
         # key -> (snapshot, nbytes); insertion order is LRU order.
         self._entries: "OrderedDict[bytes, Tuple[Snapshot, int]]" = OrderedDict()

@@ -4,20 +4,19 @@ Sharding failures must surface at *construction/load* time with a
 machine-readable shape, never as a mid-prefill broadcasting crash:
 :class:`ShardError` mirrors the :class:`~repro.serve.errors.ServeError`
 convention (a stable ``code`` plus ``to_dict()`` wire form) so a
-front-end can branch on ``shard_incompatible`` vs
-``shard_topology_mismatch`` without parsing prose.
+front-end can branch on ``shard_incompatible`` without parsing prose.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["ShardError", "ShardTopologyError"]
+__all__ = ["ShardError"]
 
 
 class ShardError(ValueError):
     """A model/config cannot be sharded as requested (incompatible
-    head counts, unsupported KV quantization, unaligned slices, ...)."""
+    head counts, unsupported KV quantization, degenerate mesh)."""
 
     code = "shard_incompatible"
 
@@ -31,9 +30,3 @@ class ShardError(ValueError):
         out.update(self.details)
         return out
 
-
-class ShardTopologyError(ShardError):
-    """A shard *set* is unloadable: missing/duplicate shard indices, or
-    shards whose mesh digests disagree (mixed artifacts or meshes)."""
-
-    code = "shard_topology_mismatch"

@@ -6,7 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.kernels.cache import DecodeCache, decode_cache, reset_decode_cache
+from repro.kernels.cache import (
+    DecodeCache,
+    decode_cache,
+    env_budget_bytes,
+    reset_decode_cache,
+)
 
 
 class Holder:
@@ -99,6 +104,34 @@ class TestDecodeCache:
         assert DecodeCache().budget_bytes == 2 * 1024 * 1024
         monkeypatch.setenv("REPRO_KERNEL_CACHE_MB", "not-a-number")
         assert DecodeCache().budget_bytes == 256 * 1024 * 1024
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1e308"])
+    def test_budget_from_env_non_finite_falls_back(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_MB", value)
+        assert DecodeCache().budget_bytes == 256 * 1024 * 1024
+
+    @pytest.mark.parametrize(
+        "value,want_mb",
+        [
+            (None, 8),
+            ("", 8),
+            ("0", 0),
+            ("-3", 0),
+            ("0.5", 0.5),
+            (" 2 ", 2),
+            ("-nan", 8),
+            ("inf", 8),
+        ],
+    )
+    def test_env_budget_bytes(self, monkeypatch, value, want_mb):
+        """The one parser both cache budgets use: unset, empty,
+        unparsable or non-finite means the default; negative clamps."""
+        if value is None:
+            monkeypatch.delenv("REPRO_TEST_BUDGET_MB", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TEST_BUDGET_MB", value)
+        got = env_budget_bytes("REPRO_TEST_BUDGET_MB", 8)
+        assert isinstance(got, int) and got == int(want_mb * 1024 * 1024)
 
     def test_process_wide_reset(self):
         first = reset_decode_cache(budget_bytes=123)

@@ -43,6 +43,34 @@ def _assert_packed_equal(a, b):
         np.testing.assert_array_equal(a.zeros, b.zeros)
 
 
+def _read_header(path):
+    data = path.read_bytes()
+    pos = len(ARTIFACT_MAGIC)
+    (header_len,) = struct.unpack("<I", data[pos : pos + 4])
+    return json.loads(data[pos + 4 : pos + 4 + header_len])
+
+
+def _write_header(path, header):
+    """Replace ``path``'s JSON header, keeping its blob section."""
+    data = path.read_bytes()
+    pos = len(ARTIFACT_MAGIC)
+    (header_len,) = struct.unpack("<I", data[pos : pos + 4])
+    new_header = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        ARTIFACT_MAGIC
+        + struct.pack("<I", len(new_header))
+        + new_header
+        + data[pos + 4 + header_len :]
+    )
+
+
+#: Datatypes with a packed container form: symmetric/asymmetric
+#: integers, BitMoD floats and a plain float grid.
+PACKED_DTYPES = ["int4_sym", "int3_asym", "int5_asym", "bitmod_fp4", "bitmod_fp3", "fp4"]
+#: (granularity, group_size) pairs with a packed container form.
+GRANULARITIES = [("group", 64), ("group", 128), ("channel", 128)]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "dtype", ["int4_sym", "int3_asym", "bitmod_fp4", "bitmod_fp3", "fp4", "ant3"]
@@ -100,6 +128,49 @@ class TestRoundTrip:
         assert load_artifact(path).quant_config.dtype == "int4_sym"
 
 
+class TestGranularities:
+    """The one artifact a device or a mesh serves survives the disk
+    field for field, at every granularity with a packed form."""
+
+    @pytest.mark.parametrize("granularity,group_size", GRANULARITIES)
+    @pytest.mark.parametrize("dtype", PACKED_DTYPES)
+    def test_load_rebuilds_every_field(
+        self, tmp_path, model, dtype, granularity, group_size
+    ):
+        qc = QuantConfig(dtype=dtype, granularity=granularity, group_size=group_size)
+        path = tmp_path / "m.rsrv"
+        saved = save_artifact(path, model, qc)
+        loaded = load_artifact(path)
+
+        assert (loaded.model_name, loaded.seed) == (saved.model_name, saved.seed)
+        assert loaded.quant_config == qc
+        assert loaded.kv_quant == saved.kv_quant and loaded.plan == saved.plan
+        assert list(loaded.packed) == list(saved.packed)
+        for name, p in saved.packed.items():
+            _assert_packed_equal(p, loaded.packed[name])
+            for field in ("sf_codes", "channel_scales", "sv_selectors", "zeros"):
+                a, b = getattr(loaded.packed[name], field), getattr(p, field)
+                if b is not None:
+                    assert a.dtype == b.dtype, (name, field)
+        assert list(loaded.raw_weights) == list(saved.raw_weights)
+        for name, w in saved.raw_weights.items():
+            v = loaded.raw_weights[name]
+            assert v.dtype == w.dtype and v.shape == w.shape, name
+            assert v.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("granularity,group_size", GRANULARITIES)
+    @pytest.mark.parametrize("dtype", PACKED_DTYPES)
+    def test_rewrite_is_byte_identical(
+        self, tmp_path, model, dtype, granularity, group_size
+    ):
+        """write(load(f)) reproduces f: the container has one encoding."""
+        qc = QuantConfig(dtype=dtype, granularity=granularity, group_size=group_size)
+        first, second = tmp_path / "a.rsrv", tmp_path / "b.rsrv"
+        save_artifact(first, model, qc)
+        write_artifact(second, load_artifact(first))
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestContainer:
     def test_magic_is_checked(self, tmp_path):
         path = tmp_path / "bogus.rsrv"
@@ -125,23 +196,40 @@ class TestContainer:
         from array sizes."""
         path = tmp_path / "m.rsrv"
         save_artifact(path, model, QuantConfig(dtype="int4_sym"))
-        data = path.read_bytes()
-        pos = len(ARTIFACT_MAGIC)
-        (header_len,) = struct.unpack("<I", data[pos : pos + 4])
-        header = json.loads(data[pos + 4 : pos + 4 + header_len])
+        header = _read_header(path)
         packed = next(t for t in header["tensors"] if t["kind"] == "packed")
         del packed["groups_per_channel"]
-        new_header = json.dumps(header).encode("utf-8")
-        path.write_bytes(
-            ARTIFACT_MAGIC
-            + struct.pack("<I", len(new_header))
-            + new_header
-            + data[pos + 4 + header_len :]
-        )
+        _write_header(path, header)
         with pytest.raises(ValueError, match="groups_per_channel") as err:
             load_artifact(path)
         assert packed["name"] in str(err.value)
         assert not isinstance(err.value, KeyError)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {
+                "mesh": {"tp": 2, "pp": 1, "topology": "ring"},
+                "shard_index": 0,
+                "n_shards": 2,
+            },
+            {},
+            None,
+        ],
+        ids=["tp2-slice", "empty", "null"],
+    )
+    def test_shard_block_rejected(self, tmp_path, model, block):
+        """A container whose header has a ``shard`` block holds one
+        device's slice of a model; it must not load as a partial one,
+        whatever the block holds."""
+        path = tmp_path / "shard-0-of-2.rsrv"
+        save_artifact(path, model, QuantConfig(dtype="int4_sym"))
+        header = _read_header(path)
+        header["shard"] = block
+        _write_header(path, header)
+        with pytest.raises(ValueError, match="shard block") as err:
+            load_artifact(path)
+        assert path.name in str(err.value)
 
     def test_magic_prefix_on_disk(self, tmp_path, model):
         path = tmp_path / "m.rsrv"

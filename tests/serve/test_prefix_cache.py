@@ -141,6 +141,11 @@ class TestBudgetAndLRU:
         monkeypatch.setenv("REPRO_PREFIX_CACHE_MB", "garbage")
         assert PrefixKVCache().budget_bytes == 64 * 1024 * 1024
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1e308"])
+    def test_env_budget_non_finite_falls_back(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_PREFIX_CACHE_MB", value)
+        assert PrefixKVCache().budget_bytes == 64 * 1024 * 1024
+
     def test_invalid_block_tokens_rejected(self):
         with pytest.raises(ValueError):
             PrefixKVCache(block_tokens=0)
