@@ -35,10 +35,18 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Standard layer norm with unit bias-free affine gain."""
-    mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain
+    """Standard layer norm with unit bias-free affine gain.
+
+    Takes the mean once and reuses ``x - mu`` for the variance: the
+    same reductions and divisions ``np.mean`` and ``np.var`` run, in
+    the same order, so the result is bit-identical to
+    ``(x - x.mean(-1)) / sqrt(x.var(-1) + eps) * gain``.
+    """
+    n = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / n
+    d = x - mu
+    var = np.add.reduce(d * d, -1, keepdims=True) / n
+    return d / np.sqrt(var + eps) * gain
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -55,26 +63,40 @@ def _softmax_inplace(shifted: np.ndarray, axis: int) -> np.ndarray:
     return shifted
 
 
+#: Rows of a ``(-1, features)`` GELU input processed per block, so
+#: the block and its temporary stay in L2 between operators (a sweep
+#: on an OPT prefill activation is recorded in CHANGES.md).
+GELU_BLOCK_ROWS = 32
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Tanh-approximated GELU (GPT/OPT/Phi activation).
 
     Evaluates ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * (x * x * x))))``
-    operator by operator in two temporaries; every product and sum is
-    the one the expression computes (IEEE ``*`` and ``+`` commute), so
-    float64 results are bit-identical to it.  The cube is two
-    multiplies, not ``x**3``: numpy's general ``pow`` costs several
-    times more per element and rounds differently.
+    operator by operator in one reused temporary, over blocks of
+    :data:`GELU_BLOCK_ROWS` rows so every operator reads data still in
+    L2.  Every product and sum is the one the expression computes (IEEE
+    ``*`` and ``+`` commute), so float64 results are bit-identical to
+    it.  The cube is two multiplies, not ``x**3``: numpy's general
+    ``pow`` costs several times more per element and rounds
+    differently.
     """
-    t = x * x
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= np.sqrt(2.0 / np.pi)
-    np.tanh(t, out=t)
-    t += 1.0
-    half = 0.5 * x
-    half *= t
-    return half
+    flat = x.reshape(-1, x.shape[-1] if x.ndim else 1)
+    out = np.empty(flat.shape, dtype=np.result_type(x, 0.5))
+    tmp = np.empty((min(GELU_BLOCK_ROWS, len(flat)), flat.shape[1]), dtype=out.dtype)
+    for start in range(0, len(flat), GELU_BLOCK_ROWS):
+        xb = flat[start : start + GELU_BLOCK_ROWS]
+        t = tmp[: len(xb)]
+        np.multiply(xb, xb, out=t)
+        t *= xb
+        t *= 0.044715
+        t += xb
+        t *= np.sqrt(2.0 / np.pi)
+        np.tanh(t, out=t)
+        t += 1.0
+        half = np.multiply(0.5, xb, out=out[start : start + GELU_BLOCK_ROWS])
+        half *= t
+    return out.reshape(x.shape)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -300,7 +300,13 @@ class CausalLM:
         With ``cache`` set, ``tokens`` are treated as *new* positions
         following the cached context: attention reads the cached K/V,
         the new K/V are appended, and only the new positions are
-        computed — the incremental prefill/decode path.  A
+        computed — the incremental prefill/decode path.  When the
+        pass adds more than one position, every layer caches K/V for
+        all of them, but the final layer runs its query side (q_proj,
+        attention, o_proj, MLP) on the last new position only and the
+        result covers that position alone, ``(batch, 1, hidden)`` —
+        unless ``act_quant_bits`` is set, whose activation scales read
+        every position.  A
         :class:`KVCache` extends one sequence; a :class:`KVBatch`
         extends one sequence per token row, each against its own
         cache.  Norms, MLPs and residuals run once over all rows, every
@@ -344,6 +350,13 @@ class CausalLM:
             if collect:
                 acts[name] = inp.reshape(-1, inp.shape[-1])
 
+        # A cached pass over several new positions (a prefill, or the
+        # tail of a prefix hit) is read at its last position only, so
+        # the final layer computes K/V for every position but its query
+        # side for the last one.  Per-sequence activation scales read
+        # every position, so act-quant passes run in full.
+        last_only = per_seq and seq > 1 and self.act_quant_bits is None
+        q_len, past = seq, starts
         for layer in range(cfg.sim_layers):
             p = f"layers.{layer}."
             # --- attention ---
@@ -351,23 +364,29 @@ class CausalLM:
             record(p + "q_proj", xn)
             record(p + "k_proj", xn)
             record(p + "v_proj", xn)
-            q = linear(xn, w[p + "q_proj"]).reshape(batch, seq, n_heads, head_dim)
             k = linear(xn, w[p + "k_proj"]).reshape(batch, seq, n_kv, head_dim)
             v = linear(xn, w[p + "v_proj"]).reshape(batch, seq, n_kv, head_dim)
-            q = q.transpose(0, 2, 1, 3)
             k = k.transpose(0, 2, 1, 3)
             v = v.transpose(0, 2, 1, 3)
             if self._use_rope:
-                q = apply_rope(q, cos, sin)
                 k = apply_rope(k, cos, sin)
+            if last_only and layer == cfg.sim_layers - 1:
+                xn, x = xn[:, -1:], x[:, -1:]
+                if self._use_rope:
+                    cos, sin = cos[:, :, -1:], sin[:, :, -1:]
+                q_len, past = 1, starts + seq - 1
+            q = linear(xn, w[p + "q_proj"]).reshape(batch, q_len, n_heads, head_dim)
+            q = q.transpose(0, 2, 1, 3)
+            if self._use_rope:
+                q = apply_rope(q, cos, sin)
             if caches is None:
                 attn = _attend(q, k, v, past_len=0)
             else:
                 attn = np.empty_like(q)
                 for b, c in enumerate(caches):
                     kb, vb = c.append(layer, k[b : b + 1], v[b : b + 1])
-                    attn[b : b + 1] = _attend(q[b : b + 1], kb, vb, int(starts[b]))
-            attn = attn.transpose(0, 2, 1, 3).reshape(batch, seq, h)
+                    attn[b : b + 1] = _attend(q[b : b + 1], kb, vb, int(past[b]))
+            attn = attn.transpose(0, 2, 1, 3).reshape(batch, q_len, h)
             attn = self._maybe_quant_act(attn, per_seq)
             record(p + "o_proj", attn)
             x = x + linear(attn, w[p + "o_proj"])
@@ -398,11 +417,13 @@ class CausalLM:
     ) -> np.ndarray:
         """Vocabulary logits, shape ``(batch, seq, vocab)``.
 
-        With ``cache`` set, ``seq`` covers only the new positions
-        (incremental prefill/decode); the caches are updated in place.
+        With ``cache`` set (incremental prefill/decode), the caches are
+        updated in place with every new position and the logits cover
+        the last new position of each row only: ``(batch, 1, vocab)``.
         """
         x = self.hidden_states(tokens, cache=cache)
-        return linear(x, self.weights["lm_head"])
+        out = linear(x, self.weights["lm_head"])
+        return out if cache is None else out[:, -1:]
 
     # ------------------------------------------------------------------
     # Stateful serving path.
@@ -416,9 +437,10 @@ class CausalLM:
         """Run one prompt, filling a fresh :class:`KVCache` whose
         buffers reserve ``capacity`` positions up front.
 
-        Returns ``(logits, cache)`` where ``logits`` covers every
-        prompt position (so the caller can sample the first generated
-        token from the last row).
+        Returns ``(logits, cache)`` where ``logits`` covers the last
+        prompt position only, shape ``(1, 1, vocab)``: the row the
+        first generated token is sampled from.  The cache holds K/V
+        for every prompt position.
         """
         cache = KVCache(self.config.sim_layers, quant=kv_quant, capacity=capacity)
         return self.logits(tokens, cache=cache), cache

@@ -14,6 +14,7 @@ tokens are bit-identical to decoding it alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
@@ -31,11 +32,20 @@ __all__ = ["GenerationConfig", "SequenceState", "InferenceEngine"]
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Per-request sampling parameters."""
+    """Per-request sampling parameters, validated on construction so a
+    bad request is refused before it is queued."""
 
     max_new_tokens: int = 32
     #: 0 = greedy argmax; > 0 samples from the tempered distribution.
     temperature: float = 0.0
+
+    def __post_init__(self):
+        if not self.max_new_tokens >= 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError(
+                f"temperature must be finite and >= 0, got {self.temperature}"
+            )
 
 
 @dataclass

@@ -10,9 +10,10 @@ overrides one method:
 * ``logits`` — runs the forward, then charges one pass of the mesh's
   collectives (:func:`repro.hw.multichip.pass_collectives`) to the
   ledger, the same list :func:`repro.hw.simulator.simulate` prices
-  on a mesh.  A batched decode step is one pass over its B token
-  positions, so it charges the payload of B solo steps in 1/B of the
-  calls.
+  on a mesh, for every token position the pass ran (a cached prefill
+  returns one logits row but runs all its positions).  A batched
+  decode step is one pass over its B token positions, so it charges
+  the payload of B solo steps in 1/B of the calls.
 
 The KV cache is the ordinary whole-model :class:`KVCache`, so prompt
 prefix snapshots (:mod:`repro.serve.prefix`) adopt unchanged; a
@@ -71,5 +72,5 @@ class ShardedCausalLM(CausalLM):
         self, tokens: np.ndarray, cache: Union[KVCache, KVBatch, None] = None
     ) -> np.ndarray:
         out = super().logits(tokens, cache=cache)
-        self.collective.charge_pass(self.config, out.shape[0] * out.shape[1])
+        self.collective.charge_pass(self.config, np.asarray(tokens).size)
         return out

@@ -1,9 +1,10 @@
-"""The in-place activation, attention and KL kernels are bit-identical
-to their plain one-expression forms.
+"""The in-place norm, activation, attention and KL kernels are
+bit-identical to their plain one-expression forms.
 
-``gelu``, ``softmax``, ``causal_attention`` and ``kl_divergence_mean``
-reuse their temporaries (``out=`` and in-place operators) and skip the
-all-zero causal mask of a one-token step.  The oracles below are the
+``layer_norm`` takes its mean once; ``gelu``, ``softmax``,
+``causal_attention`` and ``kl_divergence_mean`` reuse their temporaries
+(``out=`` and in-place operators, GELU over blocks of rows) and skip
+the all-zero causal mask of a one-token step.  The oracles below are the
 plain forms they replaced, kept verbatim: every comparison is
 ``np.array_equal`` (NaN rows included), and no function may write to
 its inputs.  The PPL cells close the loop: a whole quantized
@@ -18,7 +19,13 @@ import repro.models.layers as layers
 import repro.models.transformer as transformer
 from repro.eval.perplexity import PerplexityEvaluator, kl_divergence_mean
 from repro.models import get_model_config
-from repro.models.layers import causal_attention, gelu, softmax
+from repro.models.layers import (
+    GELU_BLOCK_ROWS,
+    causal_attention,
+    gelu,
+    layer_norm,
+    softmax,
+)
 from repro.pipeline.context import clear_context
 from repro.quant import QuantConfig
 
@@ -31,6 +38,11 @@ def oracle_softmax(x, axis=-1):
 
 def oracle_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def oracle_layer_norm(x, gain, eps=1e-6):
+    mu = x.mean(-1, keepdims=True)
+    return (x - mu) / np.sqrt(x.var(-1, keepdims=True) + eps) * gain
 
 
 def oracle_causal_attention(q, k, v, past_len=0):
@@ -109,9 +121,50 @@ class TestGelu:
         with np.errstate(all="ignore"):  # inf/nan inputs
             _same(_unchanged(gelu, x), oracle_gelu(x))
 
-    def test_activation_shaped(self, rng):
-        x = rng.standard_normal((4, 72, 1024)) * 2
+    @pytest.mark.parametrize(
+        "shape", [(4, 72, 1024), (4, 128, 1024), (3, 7, 300), (1, 1, 1024), (0, 64)]
+    )
+    def test_activation_shaped(self, rng, shape):
+        """One block, several whole blocks, a ragged last block, a
+        decode row and no rows at all."""
+        x = rng.standard_normal(shape) * 2
         _same(_unchanged(gelu, x), oracle_gelu(x))
+
+    def test_edge_values_across_blocks(self, rng):
+        """Non-finite and signed-zero inputs in every row block."""
+        x = rng.standard_normal((2 * GELU_BLOCK_ROWS + 5, 40)) * 4
+        x[:, :4] = [np.inf, -np.inf, np.nan, -0.0]
+        with np.errstate(all="ignore"):
+            _same(_unchanged(gelu, x), oracle_gelu(x))
+
+    def test_non_contiguous(self, rng):
+        xt = (rng.standard_normal((3, 50, 90)) * 3).transpose(1, 0, 2)
+        _same(_unchanged(gelu, xt), oracle_gelu(xt))
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(4, 72, 256), (1, 1, 256), (3, 7, 300), (33,)])
+    def test_random(self, rng, shape):
+        x = rng.standard_normal(shape) * 5 + 2
+        gain = 1.0 + 0.1 * rng.standard_normal(shape[-1])
+        _same(_unchanged(layer_norm, x, gain), oracle_layer_norm(x, gain))
+
+    def test_constant_and_non_finite_rows(self, rng):
+        x = rng.standard_normal((5, 64)) * 3
+        x[1] = 7.25  # zero variance
+        x[2] = 0.0
+        x[3, 5] = np.inf
+        x[4, 9] = np.nan
+        gain = np.ones(64)
+        with np.errstate(invalid="ignore"):
+            _same(_unchanged(layer_norm, x, gain), oracle_layer_norm(x, gain))
+
+    def test_float32_and_non_contiguous(self, rng):
+        x = (rng.standard_normal((9, 48)) * 4).astype(np.float32)
+        gain = np.ones(48, dtype=np.float32)
+        _same(_unchanged(layer_norm, x, gain), oracle_layer_norm(x, gain))
+        xt = rng.standard_normal((48, 9)).T
+        _same(_unchanged(layer_norm, xt, gain), oracle_layer_norm(xt, gain))
 
 
 class TestCausalAttention:
@@ -193,6 +246,7 @@ def test_quick_ppl_cell_equals_oracles(model, monkeypatch):
     monkeypatch.setattr(layers, "softmax", oracle_softmax)
     monkeypatch.setattr(layers, "gelu", oracle_gelu)
     monkeypatch.setattr(transformer, "gelu", oracle_gelu)
+    monkeypatch.setattr(transformer, "layer_norm", oracle_layer_norm)
     monkeypatch.setattr(transformer, "causal_attention", oracle_causal_attention)
     monkeypatch.setattr(perplexity, "softmax", oracle_softmax)
     monkeypatch.setattr(perplexity, "kl_divergence_mean", oracle_kl_divergence_mean)

@@ -163,6 +163,23 @@ class TestEngine:
         assert a.generated == b.generated  # same seed reproduces
         assert a.generated != c.generated  # different seed diverges
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_new_tokens": 0},
+            {"max_new_tokens": -1},
+            {"max_new_tokens": -3},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"temperature": -0.5},
+        ],
+    )
+    def test_generation_config_validation(self, kwargs):
+        """A request that cannot be served is refused on construction,
+        before any engine or server sees it."""
+        with pytest.raises(ValueError, match="max_new_tokens|temperature"):
+            GenerationConfig(**kwargs)
+
     def test_prompt_validation(self, model):
         engine = InferenceEngine(model)
         with pytest.raises(ValueError):

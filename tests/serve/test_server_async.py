@@ -100,6 +100,29 @@ class TestServer:
 
         _run(main())
 
+    def test_refused_request_leaves_the_loop_serving(self, engine):
+        """A NaN temperature is refused before it is queued, so it never
+        reaches sampling inside the serve loop: a valid request
+        submitted alongside still completes."""
+
+        async def main():
+            server = ServeServer(engine, max_batch_tokens=32)
+            await server.start()
+            rid = await server.submit(
+                np.arange(6), GenerationConfig(max_new_tokens=3)
+            )
+            with pytest.raises(ValueError, match="temperature"):
+                await server.submit(
+                    np.arange(5),
+                    GenerationConfig(max_new_tokens=3, temperature=float("nan")),
+                )
+            result = await asyncio.wait_for(server.result(rid), timeout=60)
+            await server.stop()
+            return result
+
+        result = _run(main())
+        assert len(result.tokens) == 3
+
     def test_stop_is_idempotent(self, engine):
         async def main():
             server = ServeServer(engine)
