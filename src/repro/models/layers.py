@@ -100,8 +100,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """SiLU / swish (Llama activation)."""
-    return x / (1.0 + np.exp(-x))
+    """SiLU / swish (Llama activation), ``x / (1 + exp(-x))`` computed
+    in one temporary."""
+    t = -x
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t)
 
 
 def sinusoidal_positions(seq_len: int, hidden: int) -> np.ndarray:

@@ -141,6 +141,14 @@ class KVCache:
             for k, v in zip(self._keys, self._values)
         ]
 
+    def snapshot_nbytes(self, length: int) -> int:
+        """Bytes :meth:`snapshot` would copy for ``length`` positions,
+        read from the buffers' shapes without copying anything."""
+        return sum(
+            k[:, :, :length].nbytes + v[:, :, :length].nbytes
+            for k, v in zip(self._keys, self._values)
+        )
+
     @classmethod
     def from_snapshot(
         cls,

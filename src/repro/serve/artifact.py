@@ -120,8 +120,17 @@ class ModelArtifact:
         return base.with_(dtype=p.dtype_name, group_size=p.group_size)
 
     def instantiate(self) -> CausalLM:
-        """Rebuild the quantized :class:`CausalLM` from the artifact."""
-        weights = {k: v.copy() for k, v in self.raw_weights.items()}
+        """Rebuild the quantized :class:`CausalLM` from the artifact.
+
+        Read-only raw arrays (the ones :func:`load_artifact` creates)
+        are shared with the model, so every engine built from one
+        loaded artifact holds one copy of the embedding, norms and LM
+        head.  Writable ones — an artifact :func:`save_artifact` built
+        from a live model's arrays — are copied.
+        """
+        weights = {
+            k: v.copy() if v.flags.writeable else v for k, v in self.raw_weights.items()
+        }
         for name, p in self.packed.items():
             weights[name] = unpack_tensor(p, self.tensor_config(name))
         return CausalLM(get_model_config(self.model_name), seed=self.seed, weights=weights)
@@ -307,11 +316,14 @@ class _BlobWriter:
         return entry
 
 
-def _read_array(blob: bytes, entry: dict) -> np.ndarray:
-    raw = blob[entry["offset"] : entry["offset"] + entry["nbytes"]]
-    arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-    # Hand back native byte order regardless of platform.
-    return arr.reshape(entry["shape"]).astype(arr.dtype.newbyteorder("="), copy=True)
+def _read_array(blob: memoryview, entry: dict) -> np.ndarray:
+    """The array ``entry`` locates in ``blob``, copied once into a
+    buffer of its own in native byte order."""
+    dtype = np.dtype(entry["dtype"])
+    view = np.frombuffer(
+        blob, dtype=dtype, count=entry["nbytes"] // dtype.itemsize, offset=entry["offset"]
+    )
+    return view.reshape(entry["shape"]).astype(dtype.newbyteorder("="), copy=True)
 
 
 def write_artifact(path: Union[str, Path], artifact: ModelArtifact) -> None:
@@ -399,7 +411,9 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
     the size and sha256 the writer recorded in the header; a truncated
     or bit-rotted file raises :class:`ArtifactIntegrityError` at load
     time instead of serving garbage weights.  Containers written
-    before the checksum fields existed skip verification.
+    before the checksum fields existed skip verification.  The raw
+    arrays (embedding, norms, LM head) come back read-only, so the
+    models :meth:`ModelArtifact.instantiate` builds can share them.
     """
     data = Path(path).read_bytes()
     if data[: len(ARTIFACT_MAGIC)] != ARTIFACT_MAGIC:
@@ -421,7 +435,9 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
             f"{path}: container holds one device's slice of a model (its "
             "header has a shard block); a mesh serves the full artifact"
         )
-    blob = data[pos + header_len :]
+    # A view, not a slice: the blob section is never copied as a whole,
+    # and each array below is copied out of it once.
+    blob = memoryview(data)[pos + header_len :]
     if verify and "blob_nbytes" in header:
         if len(blob) != header["blob_nbytes"]:
             raise ArtifactIntegrityError(
@@ -440,7 +456,9 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
     for t in header["tensors"]:
         blobs = t["blobs"]
         if t["kind"] == "raw":
-            raw[t["name"]] = _read_array(blob, blobs["data"])
+            arr = _read_array(blob, blobs["data"])
+            arr.flags.writeable = False
+            raw[t["name"]] = arr
             continue
         if "groups_per_channel" not in t:
             raise ValueError(
@@ -453,7 +471,7 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
             bits=t["bits"],
             shape=tuple(t["shape"]),
             group_size=t["group_size"],
-            element_data=blob[e["offset"] : e["offset"] + e["nbytes"]],
+            element_data=bytes(blob[e["offset"] : e["offset"] + e["nbytes"]]),
             sf_codes=_read_array(blob, blobs["sf_codes"]),
             channel_scales=_read_array(blob, blobs["channel_scales"]),
             sv_selectors=(

@@ -19,19 +19,40 @@ Correctness contract
     quantization is per-prefill-segment, so splitting the prompt would
     change the stored values, not just their rounding.
 
+Admission
+    A prefix is stored only once a second prompt shares it (the
+    TinyLFU idea — admit on reuse — applied at RadixAttention's
+    granularity, the shared part of a prompt).  :meth:`insert`
+    remembers the block-chain digests of every prompt it is offered —
+    16-byte BLAKE2b digests of ``prompt[:16]``, ``prompt[:32]``, …,
+    computed incrementally — in an LRU of at most
+    :data:`SEEN_DIGESTS` digests (about 0.75 MB when full).  It stores
+    the longest block-aligned *strict* prefix (at most
+    ``len(prompt) - 1`` tokens, so an identical prompt can still hit
+    it) whose digest an earlier prompt left there.  A prompt that
+    shares no leading block with recent traffic stores nothing and
+    copies nothing; the cost is one extra miss per distinct shared
+    prefix, on the second prompt that carries it.  Entries stay keyed
+    by exact token bytes, so a digest collision can only cause an
+    extra insert, never a wrong hit.  :meth:`lookup` and
+    :meth:`match_len` record nothing.
+
 Memory
     Entries hold copied slices and share nothing with live sequences:
     :meth:`KVCache.from_snapshot` adopts a snapshot that fills each
     layer exactly, so the sequence's first in-place append moves it
-    into a buffer of its own and the stored arrays are never written.  The cache is a byte-budgeted
-    LRU like the kernel decode cache: ``$REPRO_PREFIX_CACHE_MB``
-    (default 64) bounds it, oversize prefixes pass through uncached,
-    and hit/miss/insert/eviction counts mirror into :mod:`repro.obs`
-    (``serve.prefix_cache.*`` counters + ``serve.prefix_cache.bytes``).
+    into a buffer of its own and the stored arrays are never written.
+    The cache is a byte-budgeted LRU like the kernel decode cache:
+    ``$REPRO_PREFIX_CACHE_MB`` (default 64) bounds it, a prefix whose
+    snapshot would exceed the whole budget is refused before anything
+    is copied, and hit/miss/insert/eviction counts mirror into
+    :mod:`repro.obs` (``serve.prefix_cache.*`` counters +
+    ``serve.prefix_cache.bytes``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -40,18 +61,16 @@ import numpy as np
 from repro import obs
 from repro.kernels.cache import env_budget_bytes
 
-__all__ = ["PrefixKVCache", "DEFAULT_BUDGET_MB", "DEFAULT_BLOCK_TOKENS"]
+__all__ = ["PrefixKVCache", "DEFAULT_BUDGET_MB", "DEFAULT_BLOCK_TOKENS", "SEEN_DIGESTS"]
 
 #: Default byte budget when ``$REPRO_PREFIX_CACHE_MB`` is unset.
 DEFAULT_BUDGET_MB = 64.0
 #: Prefix lengths are quantized to multiples of this many tokens.
 DEFAULT_BLOCK_TOKENS = 16
+#: Block-chain digests of recently offered prompts kept for admission.
+SEEN_DIGESTS = 4096
 
 Snapshot = List[Tuple[np.ndarray, np.ndarray]]
-
-
-def _snapshot_nbytes(snapshot: Snapshot) -> int:
-    return sum(int(k.nbytes) + int(v.nbytes) for k, v in snapshot)
 
 
 class PrefixKVCache:
@@ -78,6 +97,8 @@ class PrefixKVCache:
         )
         # key -> (snapshot, nbytes); insertion order is LRU order.
         self._entries: "OrderedDict[bytes, Tuple[Snapshot, int]]" = OrderedDict()
+        # Block-chain digests of offered prompts; insertion order is LRU order.
+        self._seen: "OrderedDict[bytes, None]" = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -129,28 +150,53 @@ class PrefixKVCache:
         obs.counter("serve.prefix_cache.misses").inc()
         return None
 
+    def _block_digests(self, prompt: np.ndarray) -> List[bytes]:
+        """Digests of ``prompt[:b]``, ``prompt[:2b]``, … for every
+        whole block ``b`` of the prompt, shortest first."""
+        data = memoryview(np.ascontiguousarray(prompt, dtype=np.int64).tobytes())
+        step = self.block_tokens * 8
+        chain = hashlib.blake2b(digest_size=16)
+        digests = []
+        for start in range(0, (len(data) // step) * step, step):
+            chain.update(data[start : start + step])
+            digests.append(chain.digest())
+        return digests
+
+    def _remember(self, digests: List[bytes]) -> None:
+        for digest in digests:
+            self._seen[digest] = None
+            self._seen.move_to_end(digest)
+        while len(self._seen) > SEEN_DIGESTS:
+            self._seen.popitem(last=False)
+
     def insert(self, prompt: np.ndarray, cache) -> int:
-        """Snapshot the longest block-aligned prefix of ``prompt`` out
+        """Snapshot the longest block-aligned strict prefix of
+        ``prompt`` that an earlier offered prompt also began with, out
         of its just-prefilled ``cache``; returns the stored length
         (0 = nothing stored).  Re-inserting an existing prefix only
         refreshes its LRU position."""
         prompt = np.asarray(prompt).reshape(-1)
-        length = (int(prompt.size) // self.block_tokens) * self.block_tokens
-        if length < self.block_tokens:
+        digests = self._block_digests(prompt)
+        length = 0
+        for blocks in range((int(prompt.size) - 1) // self.block_tokens, 0, -1):
+            if digests[blocks - 1] in self._seen:
+                length = blocks * self.block_tokens
+                break
+        self._remember(digests)
+        if length == 0:
             return 0
         key = self._key(prompt, length)
         if key in self._entries:
             self._entries.move_to_end(key)
             return length
-        snapshot = cache.snapshot(length)
-        nbytes = _snapshot_nbytes(snapshot)
+        nbytes = cache.snapshot_nbytes(length)
         if nbytes > self.budget_bytes:
             self.oversize += 1
             obs.counter("serve.prefix_cache.oversize").inc()
             return 0
         while self._entries and self.total_bytes + nbytes > self.budget_bytes:
             self._evict_lru()
-        self._entries[key] = (snapshot, nbytes)
+        self._entries[key] = (cache.snapshot(length), nbytes)
         self.total_bytes += nbytes
         self.inserts += 1
         obs.counter("serve.prefix_cache.inserts").inc()
@@ -159,6 +205,7 @@ class PrefixKVCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._seen.clear()
         self.total_bytes = 0
         obs.gauge("serve.prefix_cache.bytes").set(0)
 

@@ -1,7 +1,7 @@
 """The in-place norm, activation, attention and KL kernels are
 bit-identical to their plain one-expression forms.
 
-``layer_norm`` takes its mean once; ``gelu``, ``softmax``,
+``layer_norm`` takes its mean once; ``gelu``, ``silu``, ``softmax``,
 ``causal_attention`` and ``kl_divergence_mean`` reuse their temporaries
 (``out=`` and in-place operators, GELU over blocks of rows) and skip
 the all-zero causal mask of a one-token step.  The oracles below are the
@@ -24,6 +24,7 @@ from repro.models.layers import (
     causal_attention,
     gelu,
     layer_norm,
+    silu,
     softmax,
 )
 from repro.pipeline.context import clear_context
@@ -38,6 +39,10 @@ def oracle_softmax(x, axis=-1):
 
 def oracle_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def oracle_silu(x):
+    return x / (1.0 + np.exp(-x))
 
 
 def oracle_layer_norm(x, gain, eps=1e-6):
@@ -140,6 +145,30 @@ class TestGelu:
     def test_non_contiguous(self, rng):
         xt = (rng.standard_normal((3, 50, 90)) * 3).transpose(1, 0, 2)
         _same(_unchanged(gelu, xt), oracle_gelu(xt))
+
+
+class TestSilu:
+    def test_random_and_edge_values(self, rng):
+        x = np.concatenate(
+            [
+                rng.standard_normal(4096) * 4,
+                np.linspace(-800, 800, 1601),
+                [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e154, -1e154, np.inf, -np.inf, np.nan],
+            ]
+        )
+        with np.errstate(all="ignore"):  # exp overflow, inf/nan inputs
+            _same(_unchanged(silu, x), oracle_silu(x))
+
+    @pytest.mark.parametrize("shape", [(4, 72, 344), (1, 1, 344), (0, 64)])
+    def test_activation_shaped(self, rng, shape):
+        x = rng.standard_normal(shape) * 2
+        _same(_unchanged(silu, x), oracle_silu(x))
+
+    def test_float32_and_non_contiguous(self, rng):
+        x = (rng.standard_normal((8, 12)) * 9).astype(np.float32)
+        _same(_unchanged(silu, x), oracle_silu(x))
+        xt = (rng.standard_normal((3, 50, 90)) * 3).transpose(1, 0, 2)
+        _same(_unchanged(silu, xt), oracle_silu(xt))
 
 
 class TestLayerNorm:
@@ -246,6 +275,8 @@ def test_quick_ppl_cell_equals_oracles(model, monkeypatch):
     monkeypatch.setattr(layers, "softmax", oracle_softmax)
     monkeypatch.setattr(layers, "gelu", oracle_gelu)
     monkeypatch.setattr(transformer, "gelu", oracle_gelu)
+    monkeypatch.setattr(layers, "silu", oracle_silu)
+    monkeypatch.setattr(transformer, "silu", oracle_silu)
     monkeypatch.setattr(transformer, "layer_norm", oracle_layer_norm)
     monkeypatch.setattr(transformer, "causal_attention", oracle_causal_attention)
     monkeypatch.setattr(perplexity, "softmax", oracle_softmax)

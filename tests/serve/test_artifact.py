@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.models import CausalLM, get_model_config
 from repro.quant import KVQuantConfig, QuantConfig, quantize_tensor
 from repro.quant.packing import pack_tensor, unpack_tensor
+from repro.serve import InferenceEngine
 from repro.serve.artifact import (
     ARTIFACT_MAGIC,
     ModelArtifact,
@@ -249,3 +251,44 @@ class TestContainer:
         assert set(packed) == set(model.named_linears())
         assert set(packed).isdisjoint(raw)
         assert set(packed) | set(raw) == set(model.weights)
+
+
+class TestLoadedArrays:
+    def test_engines_share_a_loaded_artifacts_raw_arrays(self, tmp_path, model):
+        """Every engine built from one loaded artifact holds the same
+        embedding, norms and LM head, and nothing can write to them."""
+        path = tmp_path / "m.rsrv"
+        save_artifact(path, model, QuantConfig(dtype="bitmod_fp4"))
+        artifact = load_artifact(path)
+        engines = [InferenceEngine.from_artifact(artifact) for _ in range(2)]
+        assert artifact.raw_weights
+        for name, raw in artifact.raw_weights.items():
+            for engine in engines:
+                assert np.shares_memory(engine.model.weights[name], raw)
+            with pytest.raises(ValueError, match="read-only"):
+                raw.flat[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                engines[0].model.weights[name][...] += 1.0
+
+    def test_built_artifact_copies_the_live_models_arrays(self, tmp_path, model):
+        artifact = save_artifact(tmp_path / "m.rsrv", model, QuantConfig(dtype="int4_sym"))
+        served = artifact.instantiate()
+        for name, raw in artifact.raw_weights.items():
+            assert raw is model.weights[name]
+            assert not np.shares_memory(served.weights[name], raw)
+            np.testing.assert_array_equal(served.weights[name], raw)
+
+    def test_load_copies_each_array_once(self, tmp_path, model):
+        """The blob section is read through a view: the peak is the
+        file's bytes plus one copy of every array, not the ~3.4x of
+        slicing the section and then each array out of it twice."""
+        path = tmp_path / "m.rsrv"
+        save_artifact(path, model, QuantConfig(dtype="bitmod_fp4"))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_artifact(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * size

@@ -194,16 +194,17 @@ class TestPrefixCache:
         eng = InferenceEngine.from_artifact(
             art, prefix_cache=PrefixKVCache(), mesh=mesh
         )
-        eng.prefill(eng.start_sequence(prompts[0], GEN))
+        for prompt in prompts[:2]:  # the second one stores the shared prefix
+            eng.prefill(eng.start_sequence(prompt, GEN))
         eng.model.collective.reset()
-        seq = eng.start_sequence(prompts[1], GEN)
+        seq = eng.start_sequence(prompts[2], GEN)
         eng.prefill(seq)
         hit = seq.prefix_hit_tokens
         assert hit > 0
         cfg = eng.model.config
         tail = pass_collectives(
             cfg.sim_layers, cfg.sim_hidden, cfg.sim_vocab,
-            prompts[1].size - hit, mesh.tp, mesh.pp,
+            prompts[2].size - hit, mesh.tp, mesh.pp,
         )
         assert eng.model.collective.snapshot()["total_wire_bytes"] == sum(
             c.wire_bytes(mesh.topology) for c in tail
