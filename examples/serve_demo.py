@@ -56,7 +56,10 @@ print(f"  {artifact.mean_bits_per_weight:.2f} bits/weight "
 
 # --- 2. reload into the engine -----------------------------------------
 engine = InferenceEngine.from_artifact(load_artifact(path))
-print(f"  reloaded; KV cache policy: INT{engine.kv_quant.bits} per-head\n")
+print(
+    f"  reloaded; KV cache policy: INT{engine.kv_quant.bits}, "
+    "one scale per (head, position)\n"
+)
 
 # --- 3. serve concurrent clients ---------------------------------------
 rng = np.random.default_rng(0)

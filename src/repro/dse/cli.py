@@ -262,9 +262,7 @@ def main(argv=None) -> int:
             journal.append({"event": "interrupted", "space": space.name})
             journal.close()
             print(f"journal saved; resume with --resume {run_id}", file=sys.stderr)
-        if args.trace is not None:
-            spans = obs.get_tracer().drain()
-            obs.write_trace(args.trace, spans)
+        obs.write_outputs(args.metrics, args.trace)
         return 130
     finally:
         engine.close()
@@ -313,29 +311,22 @@ def main(argv=None) -> int:
                     f"max|err|={row['max_abs_err']:.3e}"
                 )
 
-    import json as _json
-
     outputs = [
         (args.csv, lambda: to_csv(result.records)),
         (args.json, lambda: to_json(result)),
         (args.markdown, lambda: to_markdown(front)),
-        (args.metrics, lambda: _json.dumps(obs.snapshot(), indent=2)),
     ]
     from repro.resilience import atomic_write_text
 
-    for dest, render in outputs:
-        if dest is None:
-            continue
-        try:
-            atomic_write_text(Path(dest), render())
-        except OSError as e:
-            print(f"error: cannot write {dest!r}: {e}", file=sys.stderr)
-            return 2
-        print(f"wrote {dest}")
-    if args.trace is not None:
-        spans = obs.get_tracer().drain()
-        obs.write_trace(args.trace, spans)
-        print(f"wrote {args.trace} ({len(spans)} spans)")
+    try:
+        for dest, render in outputs:
+            if dest is not None:
+                atomic_write_text(Path(dest), render())
+                print(f"wrote {dest}")
+        obs.write_outputs(args.metrics, args.trace)
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.hw.arch import ArchConfig
-from repro.hw.baselines import AREA_BUDGET_UM2, ARRAY_COLS, ISO_AREA_SLACK
+from repro.hw.baselines import iso_area_grid
 from repro.hw.energy import TileCost, bitmod_pe_tile_cost, fp16_pe_tile_cost
 from repro.hw.multichip import TOPOLOGIES, mesh_error
 
@@ -296,8 +296,8 @@ class DesignSpace:
         ``pe_lanes / 4`` relative to the published BitMoD PE (the
         datapath lanes dominate a bit-serial PE), the encoder with
         ``pes_per_tile / 64`` (one term generator per tile), and
-        ``floor(slack * budget / tile_area)`` tiles are instantiated
-        on a 32-column grid.
+        :func:`~repro.hw.baselines.iso_area_grid` fits the tiles, as
+        it does for the paper accelerators.
         """
         bm = bitmod_pe_tile_cost()
         lanes = int(params.get("pe_lanes", 4))
@@ -329,21 +329,7 @@ class DesignSpace:
             pes_per_tile=ppt,
         )
         if self.iso_area:
-            tile_area = ppt * pe_area + enc_area
-            n_tiles = int((ISO_AREA_SLACK * AREA_BUDGET_UM2) // tile_area)
-            # The array keeps 32 columns; trim tiles until the PE count
-            # lands on a whole number of columns (and hence of tiles).
-            while n_tiles > 0 and (n_tiles * ppt) % ARRAY_COLS != 0:
-                n_tiles -= 1
-            if n_tiles < 1:
-                raise ValueError(
-                    f"design space {self.name!r}: one "
-                    f"{ppt}-PE/{lanes}-lane tile ({tile_area:.0f} um^2) "
-                    "exceeds the iso-area budget"
-                )
-            n_pes = n_tiles * ppt
-            fields["pe_cols"] = ARRAY_COLS
-            fields["pe_rows"] = n_pes // ARRAY_COLS
+            fields["pe_rows"], fields["pe_cols"] = iso_area_grid(pe_area, enc_area, ppt)
         else:
             fields["pe_rows"] = int(params.get("pe_rows", 32))
             fields["pe_cols"] = int(params.get("pe_cols", 32))

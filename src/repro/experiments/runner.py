@@ -319,7 +319,7 @@ def main(argv=None) -> int:
             journal.append({"event": "interrupted", "quick": args.quick})
             journal.close()
             print(f"journal saved; resume with --resume {run_id}", file=sys.stderr)
-        _flush_obs(args, obs)
+        obs.write_outputs(args.metrics, args.trace)
         return 130
     finally:
         engine.close()
@@ -345,21 +345,8 @@ def main(argv=None) -> int:
             meta["run_id"] = run_id
             meta["replayed"] = replayed
         atomic_write_json(out_dir / "_run_meta.json", meta, indent=2)
-    _flush_obs(args, obs)
+    obs.write_outputs(args.metrics, args.trace)
     return 0
-
-
-def _flush_obs(args, obs) -> None:
-    """Write --metrics/--trace output (normal exit and Ctrl-C alike)."""
-    if args.metrics is not None:
-        from repro.resilience import atomic_write_json
-
-        atomic_write_json(Path(args.metrics), obs.snapshot(), indent=2)
-        print(f"wrote metrics snapshot {args.metrics}")
-    if args.trace is not None:
-        spans = obs.get_tracer().drain()
-        obs.write_trace(args.trace, spans)
-        print(f"wrote trace {args.trace} ({len(spans)} spans)")
 
 
 if __name__ == "__main__":

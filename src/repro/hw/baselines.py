@@ -28,6 +28,7 @@ __all__ = [
     "AREA_BUDGET_UM2",
     "ISO_AREA_SLACK",
     "ARRAY_COLS",
+    "iso_area_grid",
 ]
 
 _FP16_TILE = fp16_pe_tile_cost()
@@ -77,14 +78,25 @@ class AcceleratorSpec:
         return self.arch.n_pes * self.macs_per_cycle
 
 
-def _grid_for(pe_area: float, encoder_area_per_tile: float, pes_per_tile: int) -> Tuple[int, int]:
-    """Rows/cols of the largest array fitting the area budget."""
+def iso_area_grid(
+    pe_area: float, encoder_area_per_tile: float, pes_per_tile: int
+) -> Tuple[int, int]:
+    """Rows/cols of the largest array fitting the iso-area budget.
+
+    ``floor(slack * budget / tile_area)`` tiles, trimmed until the PE
+    count fills whole :data:`ARRAY_COLS`-wide rows (and hence whole
+    tiles).  Raises ``ValueError`` when not even one tile fits.
+    """
     tile_area = pes_per_tile * pe_area + encoder_area_per_tile
-    n_tiles = max(1, int((ISO_AREA_SLACK * AREA_BUDGET_UM2) // tile_area))
-    n_pes = n_tiles * pes_per_tile
-    cols = ARRAY_COLS
-    rows = max(1, n_pes // cols)
-    return rows, cols
+    n_tiles = int((ISO_AREA_SLACK * AREA_BUDGET_UM2) // tile_area)
+    while n_tiles > 0 and (n_tiles * pes_per_tile) % ARRAY_COLS != 0:
+        n_tiles -= 1
+    if n_tiles < 1:
+        raise ValueError(
+            f"one {pes_per_tile}-PE tile ({tile_area:.0f} um^2) exceeds "
+            "the iso-area budget"
+        )
+    return n_tiles * pes_per_tile // ARRAY_COLS, ARRAY_COLS
 
 
 def make_accelerator(name: str) -> AcceleratorSpec:
@@ -112,7 +124,7 @@ def make_accelerator(name: str) -> AcceleratorSpec:
     if name == "bitmod":
         pe_area = _BITMOD_TILE.pe_array_area / _BITMOD_TILE.n_pes
         pe_power = _BITMOD_TILE.pe_array_power / _BITMOD_TILE.n_pes
-        rows, cols = _grid_for(pe_area, _BITMOD_TILE.encoder_area, 64)
+        rows, cols = iso_area_grid(pe_area, _BITMOD_TILE.encoder_area, 64)
         return AcceleratorSpec(
             name="bitmod",
             arch=ArchConfig(
@@ -137,7 +149,7 @@ def make_accelerator(name: str) -> AcceleratorSpec:
         rel_area = {"ant": 0.70, "olive": 0.78}[name]
         pe_area = rel_area * fp16_pe_area
         pe_power = rel_area * fp16_pe_power
-        rows, cols = _grid_for(pe_area, 0.0, 64)
+        rows, cols = iso_area_grid(pe_area, 0.0, 64)
         return AcceleratorSpec(
             name=name,
             arch=ArchConfig(

@@ -116,7 +116,8 @@ class KVCache:
     @property
     def memory_bytes(self) -> int:
         """Footprint of the stored positions (not the reserved
-        capacity) at the stored (post-quantization) precision."""
+        capacity) at the stored (post-quantization) precision: element
+        bits only, without the per-(head, position) KV scales."""
         bits = 16 if self.quant is None else self.quant.bits
         elements = sum(
             2 * k[:, :, :n].size

@@ -75,6 +75,7 @@ __all__ = [
     "summarize_spans",
     "trace_enabled",
     "tracing_enabled",
+    "write_outputs",
     "write_trace",
 ]
 
@@ -119,6 +120,20 @@ def reset() -> None:
     _REGISTRY = MetricsRegistry()
     trace.TRACER.enabled = False
     trace.TRACER.clear()
+
+
+def write_outputs(metrics: Optional[str] = None, trace_out: Optional[str] = None) -> None:
+    """Write a CLI's ``--metrics`` snapshot (JSON) and ``--trace``
+    spans, on a normal exit and a Ctrl-C alike."""
+    if metrics is not None:
+        from repro.resilience.atomic import atomic_write_json
+
+        atomic_write_json(metrics, snapshot(), indent=2)
+        print(f"wrote metrics snapshot {metrics}")
+    if trace_out is not None:
+        spans = trace.TRACER.drain()
+        write_trace(trace_out, spans)
+        print(f"wrote trace {trace_out} ({len(spans)} spans)")
 
 
 # ----------------------------------------------------------------------

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -316,14 +317,30 @@ class _BlobWriter:
         return entry
 
 
-def _read_array(blob: memoryview, entry: dict) -> np.ndarray:
-    """The array ``entry`` locates in ``blob``, copied once into a
-    buffer of its own in native byte order."""
-    dtype = np.dtype(entry["dtype"])
-    view = np.frombuffer(
-        blob, dtype=dtype, count=entry["nbytes"] // dtype.itemsize, offset=entry["offset"]
-    )
-    return view.reshape(entry["shape"]).astype(dtype.newbyteorder("="), copy=True)
+def _read_blob(f, base: int, entry: dict, hasher):
+    """Read the blob ``entry`` locates from ``f``, positioned at it
+    (``base`` is the file offset of the blob section), straight into
+    the buffer it is served from: ``bytes`` for an entry without a
+    dtype, else an array in native byte order."""
+    nbytes = entry["nbytes"]
+    if f.tell() - base != entry["offset"]:
+        raise ArtifactIntegrityError(
+            f"{f.name}: blob directory is not contiguous at offset {entry['offset']}"
+        )
+    if "dtype" in entry:
+        dtype = np.dtype(entry["dtype"])
+        out = np.empty(entry["shape"], dtype=dtype)
+        got = f.readinto(out.reshape(-1).view(np.uint8)) if out.nbytes == nbytes else -1
+    else:
+        out = f.read(nbytes)
+        got = len(out)
+    if got != nbytes:
+        raise ArtifactIntegrityError(
+            f"{f.name}: blob at offset {entry['offset']} holds {got} of {nbytes} bytes"
+        )
+    if hasher is not None:
+        hasher.update(out)
+    return out if "dtype" not in entry else out.astype(dtype.newbyteorder("="), copy=False)
 
 
 def write_artifact(path: Union[str, Path], artifact: ModelArtifact) -> None:
@@ -376,11 +393,7 @@ def write_artifact(path: Union[str, Path], artifact: ModelArtifact) -> None:
             "scale_bits": qc.scale_bits,
             "clip_ratio": qc.clip_ratio,
         },
-        "kv_quant": (
-            None
-            if artifact.kv_quant is None
-            else {"bits": artifact.kv_quant.bits, "per_head": artifact.kv_quant.per_head}
-        ),
+        "kv_quant": asdict(artifact.kv_quant) if artifact.kv_quant else None,
         "tensors": tensors,
     }
     if artifact.plan is not None:
@@ -415,73 +428,71 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
     arrays (embedding, norms, LM head) come back read-only, so the
     models :meth:`ModelArtifact.instantiate` builds can share them.
     """
-    data = Path(path).read_bytes()
-    if data[: len(ARTIFACT_MAGIC)] != ARTIFACT_MAGIC:
-        raise ValueError(f"{path}: not a repro.serve artifact (bad magic)")
-    pos = len(ARTIFACT_MAGIC)
-    header_len = struct.unpack("<I", data[pos : pos + 4])[0]
-    pos += 4
-    try:
-        header = json.loads(data[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as e:
-        raise ArtifactIntegrityError(f"{path}: unreadable header: {e}") from e
-    if header["format_version"] != ARTIFACT_VERSION:
-        raise ValueError(
-            f"{path}: artifact format v{header['format_version']} "
-            f"unsupported (reader is v{ARTIFACT_VERSION})"
-        )
-    if "shard" in header:
-        raise ValueError(
-            f"{path}: container holds one device's slice of a model (its "
-            "header has a shard block); a mesh serves the full artifact"
-        )
-    # A view, not a slice: the blob section is never copied as a whole,
-    # and each array below is copied out of it once.
-    blob = memoryview(data)[pos + header_len :]
-    if verify and "blob_nbytes" in header:
-        if len(blob) != header["blob_nbytes"]:
+    with open(path, "rb") as f:
+        if f.read(len(ARTIFACT_MAGIC)) != ARTIFACT_MAGIC:
+            raise ValueError(f"{path}: not a repro.serve artifact (bad magic)")
+        try:
+            header_len = struct.unpack("<I", f.read(4))[0]
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (struct.error, UnicodeDecodeError, ValueError) as e:
+            raise ArtifactIntegrityError(f"{path}: unreadable header: {e}") from e
+        if header["format_version"] != ARTIFACT_VERSION:
+            raise ValueError(
+                f"{path}: artifact format v{header['format_version']} "
+                f"unsupported (reader is v{ARTIFACT_VERSION})"
+            )
+        if "shard" in header:
+            raise ValueError(
+                f"{path}: container holds one device's slice of a model (its "
+                "header has a shard block); a mesh serves the full artifact"
+            )
+        base = f.tell()
+        size = os.fstat(f.fileno()).st_size - base
+        verify = verify and "blob_nbytes" in header
+        if verify and size != header["blob_nbytes"]:
             raise ArtifactIntegrityError(
-                f"{path}: blob section is {len(blob)} bytes, header "
+                f"{path}: blob section is {size} bytes, header "
                 f"promises {header['blob_nbytes']} (truncated?)"
             )
-        digest = hashlib.sha256(blob).hexdigest()
+        # Blobs are read in directory order (the writer's offset
+        # order), each once, with the sha256 fed on the way.
+        hasher = hashlib.sha256() if verify else None
+        packed: Dict[str, PackedTensor] = {}
+        raw: Dict[str, np.ndarray] = {}
+        for t in header["tensors"]:
+            blobs = {
+                key: _read_blob(f, base, entry, hasher)
+                for key, entry in t["blobs"].items()
+            }
+            if t["kind"] == "raw":
+                arr = blobs["data"]
+                arr.flags.writeable = False
+                raw[t["name"]] = arr
+                continue
+            if "groups_per_channel" not in t:
+                raise ValueError(
+                    f"{path}: packed tensor {t['name']!r} has no "
+                    f"groups_per_channel in its header"
+                )
+            packed[t["name"]] = PackedTensor(
+                dtype_name=t["dtype_name"],
+                bits=t["bits"],
+                shape=tuple(t["shape"]),
+                group_size=t["group_size"],
+                element_data=blobs["element_data"],
+                sf_codes=blobs["sf_codes"],
+                channel_scales=blobs["channel_scales"],
+                sv_selectors=blobs.get("sv_selectors"),
+                zeros=blobs.get("zeros"),
+                groups_per_channel=t["groups_per_channel"],
+            )
+    if verify:
+        digest = hasher.hexdigest()
         if digest != header["blob_sha256"]:
             raise ArtifactIntegrityError(
                 f"{path}: blob sha256 mismatch "
                 f"({digest[:16]}… != {header['blob_sha256'][:16]}…)"
             )
-
-    packed: Dict[str, PackedTensor] = {}
-    raw: Dict[str, np.ndarray] = {}
-    for t in header["tensors"]:
-        blobs = t["blobs"]
-        if t["kind"] == "raw":
-            arr = _read_array(blob, blobs["data"])
-            arr.flags.writeable = False
-            raw[t["name"]] = arr
-            continue
-        if "groups_per_channel" not in t:
-            raise ValueError(
-                f"{path}: packed tensor {t['name']!r} has no "
-                f"groups_per_channel in its header"
-            )
-        e = blobs["element_data"]
-        packed[t["name"]] = PackedTensor(
-            dtype_name=t["dtype_name"],
-            bits=t["bits"],
-            shape=tuple(t["shape"]),
-            group_size=t["group_size"],
-            element_data=bytes(blob[e["offset"] : e["offset"] + e["nbytes"]]),
-            sf_codes=_read_array(blob, blobs["sf_codes"]),
-            channel_scales=_read_array(blob, blobs["channel_scales"]),
-            sv_selectors=(
-                _read_array(blob, blobs["sv_selectors"])
-                if "sv_selectors" in blobs
-                else None
-            ),
-            zeros=_read_array(blob, blobs["zeros"]) if "zeros" in blobs else None,
-            groups_per_channel=t["groups_per_channel"],
-        )
 
     q = header["quant"]
     kv = header["kv_quant"]
@@ -495,7 +506,10 @@ def load_artifact(path: Union[str, Path], verify: bool = True) -> ModelArtifact:
             scale_bits=q["scale_bits"],
             clip_ratio=q["clip_ratio"],
         ),
-        kv_quant=None if kv is None else KVQuantConfig(bits=kv["bits"], per_head=kv["per_head"]),
+        # Older headers also carry a per-head/per-tensor flag: KV
+        # quantization is a runtime policy with one rule, so only the
+        # bits are read.
+        kv_quant=None if kv is None else KVQuantConfig(bits=kv["bits"]),
         packed=packed,
         raw_weights=raw,
         # Uniform artifacts (and containers written before plans

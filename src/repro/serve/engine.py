@@ -98,9 +98,6 @@ class InferenceEngine:
         #: hardware replay alongside the dequantized serving weights.
         self.artifact = artifact
         #: Prompt-prefix KV reuse (see :mod:`repro.serve.prefix`).
-        #: Only consulted when ``kv_quant`` is None: KV quantization is
-        #: per-prefill-segment, so splitting the prompt at a cached
-        #: prefix boundary would change the stored values.
         self.prefix_cache = prefix_cache
         self._rng = np.random.default_rng(seed)
 
@@ -120,15 +117,13 @@ class InferenceEngine:
         With a multi-device :class:`~repro.shard.mesh.DeviceMesh` the
         model is a :class:`~repro.shard.model.ShardedCausalLM` over it
         (``engine.model.mesh``, ``engine.model.collective``); the
-        sequence API, prefix caching included, is unchanged.  Meshes
-        reject per-tensor KV quantization
-        (:func:`~repro.shard.model.check_kv_quant`).
+        sequence API, prefix caching and KV quantization included, is
+        unchanged.
         """
         model = artifact.instantiate()
         if mesh is not None and mesh.n_devices > 1:
-            from repro.shard.model import ShardedCausalLM, check_kv_quant
+            from repro.shard.model import ShardedCausalLM
 
-            check_kv_quant(artifact.kv_quant)
             model = ShardedCausalLM(model.config, mesh, model.weights, seed=model.seed)
         return cls(
             model,
@@ -186,21 +181,25 @@ class InferenceEngine:
     def prefill(self, seq: SequenceState) -> int:
         """Run the prompt, producing the cache and the first token.
 
-        With a prefix cache attached (and no KV quantization), the
-        longest cached block-aligned prefix seeds the sequence's KV
-        and only the uncached tail is computed;
-        ``seq.prefix_hit_tokens`` records how much prefill was skipped.
+        With a prefix cache attached, the longest cached block-aligned
+        prefix seeds the sequence's KV and only the uncached tail is
+        computed; ``seq.prefix_hit_tokens`` records how much prefill
+        was skipped.  KV quantization is per (head, position), so a
+        quantized prefix plus a quantized tail stores what a whole
+        quantized prompt would.
         """
         if seq.prefilled:
             raise RuntimeError("sequence already prefilled")
-        share = self.prefix_cache if self.kv_quant is None else None
+        share = self.prefix_cache
         hit = share.lookup(seq.prompt) if share is not None else None
         # Every position this sequence will ever cache: serving never
         # regrows its KV buffers.
         capacity = seq.prompt.size + seq.generation.max_new_tokens
         if hit is not None:
             length, snapshot = hit
-            cache = KVCache.from_snapshot(snapshot, capacity=capacity)
+            cache = KVCache.from_snapshot(
+                snapshot, quant=self.kv_quant, capacity=capacity
+            )
             logits = self.model.logits(seq.prompt[length:], cache=cache)
             seq.prefix_hit_tokens = length
         else:

@@ -14,10 +14,10 @@ Correctness contract
     forward up to float64 rounding (~1e-15, from BLAS shape-dependent
     accumulation order), which leaves greedy *decode outputs
     byte-identical* to the cache-disabled path — the same tolerance
-    class the incremental KV decode path already stands on.  Prefix
-    reuse is disabled when the engine quantizes its KV cache: KV
-    quantization is per-prefill-segment, so splitting the prompt would
-    change the stored values, not just their rounding.
+    class the incremental KV decode path already stands on.  It holds
+    for KV-quantized engines too: :mod:`repro.quant.kv` scales each
+    (head, position) on its own, so a quantized snapshot plus a
+    quantized tail stores what quantizing the whole prompt would.
 
 Admission
     A prefix is stored only once a second prompt shares it (the

@@ -9,7 +9,7 @@ shards x ``pp`` pipeline stages) names the deployment;
 artifact it was packed from through the ordinary engine,
 ``InferenceEngine.from_artifact(artifact, mesh=mesh)``, and since the
 forward *is* the single-device one, logits and token streams are
-**byte-identical** to it — prefix-cached or not.
+**byte-identical** to it — prefix-cached, KV-quantized or not.
 
 Interconnect cost is modeled, not wished away: the ledger charges the
 collective list of :func:`repro.hw.multichip.pass_collectives`, the
@@ -20,7 +20,7 @@ mesh axis price.
 from repro.shard.collective import Collective, OpStats
 from repro.shard.errors import ShardError
 from repro.shard.mesh import DeviceMesh
-from repro.shard.model import ShardedCausalLM, check_kv_quant
+from repro.shard.model import ShardedCausalLM
 
 __all__ = [
     "Collective",
@@ -28,5 +28,4 @@ __all__ = [
     "OpStats",
     "ShardError",
     "ShardedCausalLM",
-    "check_kv_quant",
 ]

@@ -16,7 +16,7 @@ __all__ = ["ShardError"]
 
 class ShardError(ValueError):
     """A model/config cannot be sharded as requested (incompatible
-    head counts, unsupported KV quantization, degenerate mesh)."""
+    head counts, degenerate mesh)."""
 
     code = "shard_incompatible"
 

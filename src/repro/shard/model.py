@@ -22,35 +22,16 @@ deployed rank would cache its own head slice under the same token key.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from repro.models.config import ModelConfig
 from repro.models.transformer import CausalLM, KVBatch, KVCache
-from repro.quant.kv import KVQuantConfig
 from repro.shard.collective import Collective
-from repro.shard.errors import ShardError
 from repro.shard.mesh import DeviceMesh
 
-__all__ = ["ShardedCausalLM", "check_kv_quant"]
-
-
-def check_kv_quant(kv_quant: Optional[KVQuantConfig]) -> None:
-    """Reject KV quantization that cannot shard exactly.
-
-    Per-head scales commute with head partitioning (each head's
-    min/max sees the same values on its owning shard as on a single
-    device); a per-tensor scale couples all heads and would need a
-    cross-rank absmax reduction the collective ledger does not charge.
-    """
-    if kv_quant is not None and not kv_quant.per_head:
-        raise ShardError(
-            "per-tensor KV quantization (per_head=False) does not commute "
-            "with head-partitioned attention; use per_head=True or no "
-            "KV quantization",
-            kv_per_head=False,
-        )
+__all__ = ["ShardedCausalLM"]
 
 
 class ShardedCausalLM(CausalLM):

@@ -12,7 +12,7 @@ from repro.dse.space import (
     load_space,
     paper_tile_costs,
 )
-from repro.hw.baselines import AREA_BUDGET_UM2
+from repro.hw.baselines import AREA_BUDGET_UM2, iso_area_grid, make_accelerator
 
 
 def _space(**kw):
@@ -135,6 +135,24 @@ class TestIsoArea:
         assert p.arch.n_pes == ref.n_pes
         assert p.arch.pe_rows == ref.pe_rows
         assert p.arch.pe_area_um2 == pytest.approx(ref.pe_area_um2)
+
+    def test_paper_accelerator_grids(self):
+        """The one fit gives the paper accelerators their grids."""
+        grids = {
+            name: (make_accelerator(name).arch.pe_rows, make_accelerator(name).arch.pe_cols)
+            for name in ("bitmod", "ant", "olive")
+        }
+        assert grids == {"bitmod": (32, 32), "ant": (36, 32), "olive": (32, 32)}
+
+    def test_fit_trims_to_whole_tiles(self):
+        pe_area = make_accelerator("bitmod").arch.pe_area_um2
+        for ppt in (48, 64, 96):
+            rows, cols = iso_area_grid(pe_area, 0.0, ppt)
+            assert cols == 32 and (rows * cols) % ppt == 0
+
+    def test_fit_rejects_an_oversize_tile(self):
+        with pytest.raises(ValueError, match="exceeds the iso-area budget"):
+            iso_area_grid(AREA_BUDGET_UM2, 0.0, 64)
 
 
 class TestSerialization:

@@ -7,10 +7,9 @@ import pytest
 from repro.models import CausalLM, get_model_config
 
 
-@pytest.fixture(scope="session")
-def tiny_config():
+def _shrunk(model_name):
     return dataclasses.replace(
-        get_model_config("opt-1.3b"),
+        get_model_config(model_name),
         sim_layers=2,
         sim_hidden=64,
         sim_heads=4,
@@ -18,6 +17,18 @@ def tiny_config():
         sim_intermediate=128,
         sim_vocab=512,
     )
+
+
+@pytest.fixture(scope="session")
+def tiny_configs():
+    """The shrunk OPT (LayerNorm, learned positions) and Llama (RoPE)
+    layouts, by zoo name."""
+    return {name: _shrunk(name) for name in ("opt-1.3b", "llama-2-7b")}
+
+
+@pytest.fixture(scope="session")
+def tiny_config(tiny_configs):
+    return tiny_configs["opt-1.3b"]
 
 
 @pytest.fixture()

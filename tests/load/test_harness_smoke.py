@@ -8,6 +8,8 @@ settings), so every count below is exact."""
 
 import time
 
+import pytest
+
 from repro import obs
 from repro.load import (
     BurstyArrivals,
@@ -18,6 +20,7 @@ from repro.load import (
 )
 from repro.models import CausalLM, get_model_config
 from repro.quant.config import QuantConfig
+from repro.quant.kv import KVQuantConfig
 from repro.serve import InferenceEngine, PrefixKVCache
 from repro.serve.artifact import save_artifact
 
@@ -129,20 +132,32 @@ class TestPoissonSmoke:
 
 
 class TestPrefixByteIdentity:
-    def test_outputs_byte_identical_with_and_without_cache(self, tiny_config):
+    @pytest.mark.parametrize(
+        "kv_quant",
+        [None, KVQuantConfig(bits=8), KVQuantConfig(bits=4)],
+        ids=lambda kv: "fp" if kv is None else f"int{kv.bits}",
+    )
+    @pytest.mark.parametrize("model_name", ["opt-1.3b", "llama-2-7b"])
+    def test_outputs_byte_identical_with_and_without_cache(
+        self, tiny_configs, model_name, kv_quant
+    ):
         """The acceptance criterion: shared-prefix traffic served
         through the prefix cache produces decode streams identical to
-        the cache-disabled path, request for request."""
+        the cache-disabled path, request for request, KV-quantized or
+        not."""
+        config = tiny_configs[model_name]
         workload = _chat_workload(60, seed=5, rate=3000.0)
         with_cache = replay(
             InferenceEngine(
-                CausalLM(tiny_config, seed=0), prefix_cache=PrefixKVCache()
+                CausalLM(config, seed=0),
+                kv_quant=kv_quant,
+                prefix_cache=PrefixKVCache(),
             ),
             workload,
             max_batch_tokens=256,
         )
         without_cache = replay(
-            InferenceEngine(CausalLM(tiny_config, seed=0)),
+            InferenceEngine(CausalLM(config, seed=0), kv_quant=kv_quant),
             workload,
             max_batch_tokens=256,
         )

@@ -86,3 +86,38 @@ class TestRunnerDispatch:
 
         assert runner_main(["fig07", "--log-level", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+class TestInterruptedRunsWriteOutputs:
+    """Ctrl-C exits 130 and still writes --metrics and --trace."""
+
+    def test_runner(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "run_experiment", _interrupt)
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.jsonl"
+        rc = runner.main(
+            ["--no-cache", "--quick", "fig07",
+             "--metrics", str(metrics), "--trace", str(trace)]
+        )
+        assert rc == 130
+        assert isinstance(json.loads(metrics.read_text()), dict)
+        assert trace.exists()
+
+    def test_dse(self, tmp_path, monkeypatch):
+        import repro.dse.sweep
+        from repro.dse.cli import main as dse_main
+
+        monkeypatch.setattr(repro.dse.sweep, "run_sweep", _interrupt)
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.jsonl"
+        rc = dse_main(
+            ["--preset", "smoke", "--quick", "--no-cache",
+             "--metrics", str(metrics), "--trace", str(trace)]
+        )
+        assert rc == 130
+        assert isinstance(json.loads(metrics.read_text()), dict)
+        assert trace.exists()

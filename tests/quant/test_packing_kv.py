@@ -120,12 +120,36 @@ class TestKVQuant:
         e4 = np.mean((quantize_kv(kv, KVQuantConfig(bits=4)) - kv) ** 2)
         assert e4 > 10 * e8
 
-    def test_per_head_beats_per_tensor_on_skewed_heads(self, rng):
+    @pytest.mark.parametrize("bits", [8, 4])
+    def test_segment_invariant(self, rng, bits):
+        """Each (head, position) is quantized on its own, so quantizing
+        a concatenation equals concatenating the quantized parts —
+        wherever a prompt is split, and however heads are sharded."""
         kv = rng.standard_normal((1, 4, 16, 32))
         kv[:, 0] *= 10.0  # one loud head
-        ph = quantize_kv(kv, KVQuantConfig(bits=4, per_head=True))
-        pt = quantize_kv(kv, KVQuantConfig(bits=4, per_head=False))
-        assert np.mean((ph - kv) ** 2) < np.mean((pt - kv) ** 2)
+        kv[:, :, 5] *= 100.0  # one loud position
+        cfg = KVQuantConfig(bits=bits)
+        whole = quantize_kv(kv, cfg)
+        for cuts in ([1], [5, 6], [3, 11, 15], list(range(1, 16))):
+            parts = np.split(kv, cuts, axis=2)
+            np.testing.assert_array_equal(
+                whole, np.concatenate([quantize_kv(p, cfg) for p in parts], axis=2)
+            )
+        heads = np.split(kv, [1, 3], axis=1)
+        np.testing.assert_array_equal(
+            whole, np.concatenate([quantize_kv(h, cfg) for h in heads], axis=1)
+        )
+
+    @pytest.mark.parametrize("bits", [0, -1, 17, 4.0, "8", True, None])
+    def test_bits_validated(self, bits):
+        with pytest.raises(ValueError, match=repr(bits).replace(".", r"\.")):
+            KVQuantConfig(bits=bits)
+
+    @pytest.mark.parametrize("bits", [1, 16, np.int64(8)])
+    def test_bits_range_accepted(self, bits):
+        kv = np.arange(16.0).reshape(1, 1, 2, 8)
+        deq = quantize_kv(kv, KVQuantConfig(bits=bits))
+        assert np.all(np.isfinite(deq))
 
     def test_constant_tensor(self):
         kv = np.full((1, 2, 4, 8), 3.0)

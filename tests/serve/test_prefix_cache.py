@@ -261,10 +261,9 @@ class TestBudgetAndLRU:
             PrefixKVCache(block_tokens=0)
 
 
-@pytest.fixture(scope="module")
-def small_model_config():
+def _shrunk(model_name):
     return dataclasses.replace(
-        get_model_config("opt-1.3b"),
+        get_model_config(model_name),
         sim_layers=2,
         sim_hidden=64,
         sim_heads=4,
@@ -274,10 +273,25 @@ def small_model_config():
     )
 
 
+@pytest.fixture(scope="module")
+def small_model_config():
+    return _shrunk("opt-1.3b")
+
+
+KV_QUANTS = [None, KVQuantConfig(bits=8), KVQuantConfig(bits=4)]
+
+
+def _kv_id(kv):
+    return "fp" if kv is None else f"int{kv.bits}"
+
+
 class TestEngineIntegration:
-    def test_shared_prefix_outputs_byte_identical(self, small_model_config):
+    @pytest.mark.parametrize("kv_quant", KV_QUANTS, ids=_kv_id)
+    @pytest.mark.parametrize("model_name", ["opt-1.3b", "llama-2-7b"])
+    def test_shared_prefix_outputs_byte_identical(self, model_name, kv_quant):
         """The acceptance bar: cached-prefix decode streams equal the
-        cache-disabled path token for token."""
+        cache-disabled path token for token, KV-quantized or not."""
+        config = _shrunk(model_name)
         rng = np.random.default_rng(0)
         prefix = rng.integers(0, 512, size=48)
         prompts = [
@@ -286,9 +300,9 @@ class TestEngineIntegration:
         ]
         gen = GenerationConfig(max_new_tokens=12)
 
-        plain = InferenceEngine(CausalLM(small_model_config, seed=0))
+        plain = InferenceEngine(CausalLM(config, seed=0), kv_quant=kv_quant)
         shared = InferenceEngine(
-            CausalLM(small_model_config, seed=0), prefix_cache=PrefixKVCache()
+            CausalLM(config, seed=0), kv_quant=kv_quant, prefix_cache=PrefixKVCache()
         )
         reused = 0
         for prompt in prompts:
@@ -352,18 +366,3 @@ class TestEngineIntegration:
             assert cache.snapshot_nbytes(length) == sum(
                 k.nbytes + v.nbytes for k, v in copied
             )
-
-    def test_kv_quant_disables_prefix_reuse(self, small_model_config):
-        cache = PrefixKVCache()
-        engine = InferenceEngine(
-            CausalLM(small_model_config, seed=0),
-            kv_quant=KVQuantConfig(bits=8),
-            prefix_cache=cache,
-        )
-        prompt = np.arange(40, dtype=np.int64)
-        for _ in range(2):
-            seq = engine.start_sequence(prompt, GenerationConfig(max_new_tokens=2))
-            engine.prefill(seq)
-            assert seq.prefix_hit_tokens == 0
-        assert len(cache) == 0
-        assert cache.hits == 0 and cache.misses == 0

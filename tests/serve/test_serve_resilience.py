@@ -221,6 +221,13 @@ class TestArtifactIntegrity:
         with pytest.raises(ArtifactIntegrityError, match="truncated"):
             load_artifact(path)
 
+    @pytest.mark.parametrize("keep", [9, 11, 40])
+    def test_truncated_header_detected(self, tmp_path, keep):
+        path = self._save(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ArtifactIntegrityError, match="unreadable header"):
+            load_artifact(path)
+
     def test_bit_flip_detected(self, tmp_path):
         path = self._save(tmp_path)
         data = bytearray(path.read_bytes())

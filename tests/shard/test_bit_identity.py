@@ -97,8 +97,8 @@ class TestUniformArtifacts:
 class TestKVQuantization:
     @pytest.mark.parametrize("mesh", MESHES[1:], ids=_mesh_id)
     def test_per_head_kv_quant_byte_identical(self, tmp_path, mesh):
-        """Per-head KV scales commute with head partitioning."""
-        kv = KVQuantConfig(bits=8, per_head=True)
+        """Per-(head, position) KV scales commute with head partitioning."""
+        kv = KVQuantConfig(bits=8)
         art = _artifact(
             tmp_path, "llama-2-7b", QuantConfig(dtype="int4_sym"), kv_quant=kv
         )
@@ -111,14 +111,30 @@ class TestKVQuantization:
             == ref.generate(prompt, GEN).generated
         )
 
-    def test_per_tensor_kv_quant_rejected(self, tmp_path):
-        """per_head=False couples heads across shards: structured error."""
-        kv = KVQuantConfig(bits=8, per_head=False)
+    @pytest.mark.parametrize("mesh", MESHES[1:], ids=_mesh_id)
+    def test_prefix_cached_kv_quant_matches_cache_off(self, tmp_path, mesh):
+        """A prefix-cached, KV-quantized mesh engine streams what the
+        cache-off single-device engine streams."""
         art = _artifact(
-            tmp_path, "opt-1.3b", QuantConfig(dtype="int4_sym"), kv_quant=kv
+            tmp_path, "llama-2-7b", QuantConfig(dtype="int4_sym"),
+            kv_quant=KVQuantConfig(bits=4),
         )
-        with pytest.raises(ShardError, match="per_head"):
-            InferenceEngine.from_artifact(art, mesh=DeviceMesh(tp=2))
+        cfg = get_model_config("llama-2-7b")
+        rng = np.random.default_rng(3)
+        shared = rng.integers(0, cfg.sim_vocab, size=16)
+        prompts = [
+            np.concatenate([shared, rng.integers(0, cfg.sim_vocab, size=4)])
+            for _ in range(4)
+        ]
+        ref = InferenceEngine.from_artifact(art)
+        eng = InferenceEngine.from_artifact(
+            art, prefix_cache=PrefixKVCache(), mesh=mesh
+        )
+        seqs = [eng.generate(p, GEN) for p in prompts]
+        assert [s.generated for s in seqs] == [
+            ref.generate(p, GEN).generated for p in prompts
+        ]
+        assert sum(s.prefix_hit_tokens for s in seqs) > 0
 
 
 class TestMixedPrecisionPlans:
