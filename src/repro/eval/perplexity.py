@@ -33,6 +33,7 @@ import numpy as np
 from repro.models.config import ModelConfig
 from repro.models.layers import softmax
 from repro.models.transformer import CausalLM
+from repro.models.workers import fan_out, pool_size
 from repro.pipeline.context import get_ppl_context
 from repro.quant.config import QuantConfig, quantize_tensor
 
@@ -43,7 +44,21 @@ SENSITIVITY = 5.0
 
 
 def kl_divergence_mean(logits_p: np.ndarray, logits_q: np.ndarray) -> float:
-    """Mean over positions of ``KL(softmax(p) || softmax(q))``."""
+    """Mean over positions of ``KL(softmax(p) || softmax(q))``.
+
+    The per-position terms are computed in slices of the leading axis
+    on the worker pool (every operator works row by row), then averaged
+    in one ``np.mean`` over all of them.
+    """
+    logits_p, logits_q = np.atleast_2d(logits_p, logits_q)
+    k = max(1, min(len(logits_p), pool_size()))
+    parts = zip(np.array_split(logits_p, k), np.array_split(logits_q, k))
+    terms = fan_out(lambda pq: _kl_terms(*pq), parts)
+    return float(np.mean(np.concatenate(terms)))
+
+
+def _kl_terms(logits_p: np.ndarray, logits_q: np.ndarray) -> np.ndarray:
+    """Per-position ``KL(softmax(p) || softmax(q))`` over the last axis."""
     # Three temporaries, each reused operator by operator; the values
     # are those of ``sum(p * (log(max(p, 1e-30)) - log_softmax(q)))``.
     p = softmax(logits_p, axis=-1)
@@ -54,7 +69,7 @@ def kl_divergence_mean(logits_p: np.ndarray, logits_q: np.ndarray) -> float:
     np.log(work, out=work)
     work -= log_q
     work *= p
-    return float(np.mean(np.sum(work, axis=-1)))
+    return np.sum(work, axis=-1)
 
 
 QuantizeFn = Callable[[str, np.ndarray], np.ndarray]

@@ -130,24 +130,29 @@ class DiscriminativeEvaluator:
 
     def _score_items(self, model: CausalLM) -> np.ndarray:
         """``(n_items,)`` arg-max choice of ``model`` on every item."""
+        return np.argmax(self._choice_scores(model), axis=1)
+
+    def _choice_scores(self, model: CausalLM) -> np.ndarray:
+        """``(n_items, n_choices)`` mean continuation log-likelihoods."""
         spec = self.spec
         tokens = np.concatenate([it.tokens for it in self.items], axis=0)
-        logits = model.logits(tokens)
-        log_probs = np.log(np.maximum(softmax(logits, axis=-1), 1e-30))
-        picks = np.empty(self.n_items, dtype=np.int64)
         start = self.items[0].cont_start
         seq = tokens.shape[1]
         pos = np.arange(start, seq)
+        # Only the positions predicting a continuation token are read,
+        # and the log-softmax works row by row, so it runs on those.
+        log_probs = np.log(
+            np.maximum(softmax(model.logits(tokens)[:, start - 1 : seq - 1], axis=-1), 1e-30)
+        )
+        scores = np.empty((self.n_items, spec.n_choices))
         for i in range(self.n_items):
             rows = slice(i * spec.n_choices, (i + 1) * spec.n_choices)
-            toks = tokens[rows]
-            lp = log_probs[rows]
-            cont_lp = lp[:, pos - 1, :][
+            cont_lp = log_probs[rows][
                 np.arange(spec.n_choices)[:, None], np.arange(len(pos))[None, :],
-                toks[:, pos],
+                tokens[rows][:, pos],
             ]
-            picks[i] = int(np.argmax(cont_lp.mean(axis=1)))
-        return picks
+            scores[i] = cont_lp.mean(axis=1)
+        return scores
 
     def _plant_labels(self) -> None:
         """Assign gold labels so FP16 hits the published accuracy."""

@@ -29,9 +29,22 @@ def linear(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Root-mean-square layer normalization (Llama-family norm)."""
-    rms = np.sqrt(np.mean(x**2, axis=-1, keepdims=True) + eps)
-    return x / rms * gain
+    """Root-mean-square layer normalization (Llama-family norm).
+
+    Computes ``x / sqrt(mean(x**2, -1) + eps) * gain`` in one reused
+    temporary: ``x**2`` is numpy's ``square``, and every operator is
+    the one the expression runs, in the same order, so the result is
+    bit-identical to it.
+    """
+    t = np.square(x)
+    rms = np.mean(t, axis=-1, keepdims=True)
+    rms += eps
+    np.sqrt(rms, out=rms)
+    if np.result_type(x, rms, gain) != t.dtype:  # the result is wider than x**2
+        return x / rms * gain
+    np.divide(x, rms, out=t)
+    t *= gain
+    return t
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -134,12 +147,21 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
     ``x`` has shape ``(batch, heads, seq, head_dim)``; cos/sin are the
     tables from :func:`rope_cache` for the same sequence length.
+
+    The even lanes get ``x1 * cos - x2 * sin`` and the odd lanes
+    ``x1 * sin + x2 * cos``, each product in one of two reused
+    temporaries and each sum written straight into its lanes: the
+    operators and casts of the plain expressions, so the result is
+    bit-identical to them.
     """
     x1 = x[..., 0::2]
     x2 = x[..., 1::2]
     out = np.empty_like(x)
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
+    shape = np.broadcast_shapes(x1.shape, cos.shape, sin.shape)
+    dtype = np.result_type(x, cos, sin)
+    a, b = np.empty(shape, dtype), np.empty(shape, dtype)
+    np.subtract(np.multiply(x1, cos, out=a), np.multiply(x2, sin, out=b), out=out[..., 0::2])
+    np.add(np.multiply(x1, sin, out=a), np.multiply(x2, cos, out=b), out=out[..., 1::2])
     return out
 
 

@@ -16,6 +16,12 @@ provides:
 * ``apply_quantizer(fn)`` — functional weight replacement, returning a
   quantized *copy* so the FP16 reference model stays intact.
 
+``apply_quantizer`` and, with a single-threaded BLAS, the uncached
+forward of a multi-sequence batch run their independent parts (one
+linear, one sequence) on the shared :mod:`repro.models.workers` pool;
+each part makes the calls it would make on its own, so no result
+depends on the fan-out.
+
 Architecture per family: OPT/Phi use LayerNorm + GELU MLPs and OPT
 adds sinusoidal positions at the embedding; Llama/Yi use RMSNorm,
 RoPE, gated SiLU MLPs, and (Yi / Llama-3) grouped-query attention.
@@ -41,6 +47,7 @@ from repro.models.layers import (
     sinusoidal_positions,
 )
 from repro.models.synth import generate_model_weights
+from repro.models.workers import blas_threads, fan_out
 from repro.quant.kv import KVQuantConfig, quantize_kv
 
 __all__ = ["CausalLM", "KVBatch", "KVCache"]
@@ -256,10 +263,19 @@ class CausalLM:
     def apply_quantizer(
         self, quantize: Callable[[str, np.ndarray], np.ndarray]
     ) -> "CausalLM":
-        """Return a copy whose block linears are ``quantize(name, w)``."""
+        """Return a copy whose block linears are ``quantize(name, w)``.
+
+        The linears are quantized on the worker pool, largest first so
+        the last one to start is a small one; ``quantize`` must not
+        depend on the order of its calls and must be safe to call from
+        several threads at once.
+        """
+        linears = self.named_linears()
+        names = sorted(linears, key=lambda n: linears[n].size, reverse=True)
         new_weights = dict(self.weights)
-        for name, w in self.named_linears().items():
-            new_weights[name] = quantize(name, w)
+        new_weights.update(
+            zip(names, fan_out(lambda n: quantize(n, linears[n]), names))
+        )
         clone = copy.copy(self)
         clone.weights = new_weights
         return clone
@@ -407,7 +423,8 @@ class CausalLM:
                 record(p + "up_proj", xn)
                 gate = silu(linear(xn, w[p + "gate_proj"]))
                 up = linear(xn, w[p + "up_proj"])
-                inner = self._maybe_quant_act(gate * up, per_seq)
+                gate *= up  # silu's output is a fresh array
+                inner = self._maybe_quant_act(gate, per_seq)
                 record(p + "down_proj", inner)
                 x = x + linear(inner, w[p + "down_proj"])
             else:
@@ -429,10 +446,33 @@ class CausalLM:
         With ``cache`` set (incremental prefill/decode), the caches are
         updated in place with every new position and the logits cover
         the last new position of each row only: ``(batch, 1, vocab)``.
+
+        Without a cache, and with a single-threaded BLAS, a batch of
+        several sequences runs one sequence per part on the worker pool.
+        Every projection is a per-sequence product of numpy's stacked
+        matmul and every other operator works per row or per sequence,
+        so each part makes the calls the batched pass makes for that
+        sequence and the logits are bit-identical to it.  Act-quant
+        passes stay whole: their activation scales read the whole batch.
         """
-        x = self.hidden_states(tokens, cache=cache)
-        out = linear(x, self.weights["lm_head"])
-        return out if cache is None else out[:, -1:]
+        if cache is not None:
+            return self._forward(tokens, cache)[:, -1:]
+        tokens = np.asarray(tokens)
+        if (
+            tokens.ndim != 2
+            or len(tokens) < 2
+            or self.act_quant_bits is not None
+            or blas_threads() > 1
+        ):
+            return self._forward(tokens)
+        self._position_tables(tokens.shape[1])  # grown once, before the parts read it
+        return np.concatenate(fan_out(self._forward, [row[None] for row in tokens]))
+
+    def _forward(
+        self, tokens: np.ndarray, cache: Union[KVCache, KVBatch, None] = None
+    ) -> np.ndarray:
+        """The decoder stack and LM head over every returned position."""
+        return linear(self.hidden_states(tokens, cache=cache), self.weights["lm_head"])
 
     # ------------------------------------------------------------------
     # Stateful serving path.

@@ -6,8 +6,33 @@ import pytest
 from repro.eval.memory import profile_memory
 from repro.eval.stats import profile_granularity
 from repro.eval.tasks import TASKS, DiscriminativeEvaluator
+from repro.models.layers import softmax
 from repro.models.zoo import get_model_config
 from repro.quant.config import QuantConfig, quantize_tensor
+
+
+def full_log_softmax_scores(evaluator, model):
+    """Choice scores from a log-softmax over every position (the
+    scoring before it was cut to the positions that are read)."""
+    spec = evaluator.spec
+    tokens = np.concatenate([it.tokens for it in evaluator.items], axis=0)
+    log_probs = np.log(np.maximum(softmax(model.logits(tokens), axis=-1), 1e-30))
+    start, seq = evaluator.items[0].cont_start, tokens.shape[1]
+    pos = np.arange(start, seq)
+    scores = []
+    for i in range(evaluator.n_items):
+        rows = slice(i * spec.n_choices, (i + 1) * spec.n_choices)
+        cont_lp = log_probs[rows][:, pos - 1, :][
+            np.arange(spec.n_choices)[:, None], np.arange(len(pos))[None, :],
+            tokens[rows][:, pos],
+        ]
+        scores.append(cont_lp.mean(axis=1))
+    return np.array(scores)
+
+
+@pytest.fixture(scope="module")
+def small_hella():
+    return DiscriminativeEvaluator(get_model_config("llama-2-7b"), "hellaswag", n_items=8)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +79,17 @@ class TestTasks:
                 lambda n, w: quantize_tensor(w, cfg).w_deq
             )
         assert accs["int4_asym"] >= accs["int3_asym"]
+
+    @pytest.mark.parametrize("dtype", [None, "int3_asym"])
+    def test_scores_and_picks_equal_full_log_softmax(self, small_hella, dtype):
+        small = small_hella
+        model = small.model
+        if dtype is not None:
+            cfg = QuantConfig(dtype=dtype)
+            model = model.apply_quantizer(lambda n, w: quantize_tensor(w, cfg).w_deq)
+        want = full_log_softmax_scores(small, model)
+        assert np.array_equal(small._choice_scores(model), want)
+        assert np.array_equal(small._score_items(model), np.argmax(want, axis=1))
 
     def test_unknown_task(self):
         with pytest.raises(KeyError):

@@ -1,8 +1,9 @@
-"""The in-place norm, activation, attention and KL kernels are
+"""The in-place norm, activation, RoPE, attention and KL kernels are
 bit-identical to their plain one-expression forms.
 
-``layer_norm`` takes its mean once; ``gelu``, ``silu``, ``softmax``,
-``causal_attention`` and ``kl_divergence_mean`` reuse their temporaries
+``layer_norm`` takes its mean once; ``rms_norm``, ``apply_rope``,
+``gelu``, ``silu``, ``softmax``, ``causal_attention`` and
+``kl_divergence_mean`` reuse their temporaries
 (``out=`` and in-place operators, GELU over blocks of rows) and skip
 the all-zero causal mask of a one-token step.  The oracles below are the
 plain forms they replaced, kept verbatim: every comparison is
@@ -21,9 +22,12 @@ from repro.eval.perplexity import PerplexityEvaluator, kl_divergence_mean
 from repro.models import get_model_config
 from repro.models.layers import (
     GELU_BLOCK_ROWS,
+    apply_rope,
     causal_attention,
     gelu,
     layer_norm,
+    rms_norm,
+    rope_cache,
     silu,
     softmax,
 )
@@ -48,6 +52,20 @@ def oracle_silu(x):
 def oracle_layer_norm(x, gain, eps=1e-6):
     mu = x.mean(-1, keepdims=True)
     return (x - mu) / np.sqrt(x.var(-1, keepdims=True) + eps) * gain
+
+
+def oracle_rms_norm(x, gain, eps=1e-6):
+    rms = np.sqrt(np.mean(x**2, axis=-1, keepdims=True) + eps)
+    return x / rms * gain
+
+
+def oracle_apply_rope(x, cos, sin):
+    x1 = x[..., 0::2]
+    x2 = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = x1 * cos - x2 * sin
+    out[..., 1::2] = x1 * sin + x2 * cos
+    return out
 
 
 def oracle_causal_attention(q, k, v, past_len=0):
@@ -196,6 +214,62 @@ class TestLayerNorm:
         _same(_unchanged(layer_norm, xt, gain), oracle_layer_norm(xt, gain))
 
 
+class TestRmsNorm:
+    @pytest.mark.parametrize("shape", [(4, 72, 256), (1, 1, 256), (3, 7, 300), (33,)])
+    def test_random(self, rng, shape):
+        x = rng.standard_normal(shape) * 5 + 2
+        gain = 1.0 + 0.1 * rng.standard_normal(shape[-1])
+        _same(_unchanged(rms_norm, x, gain), oracle_rms_norm(x, gain))
+
+    def test_zero_tiny_huge_and_non_finite_rows(self, rng):
+        x = rng.standard_normal((6, 64)) * 3
+        x[1] = 0.0  # rms is sqrt(eps)
+        x[2] = 1e-200  # the square underflows
+        x[3] = 1e200  # the square overflows
+        x[4, 5] = np.inf
+        x[5, 9] = np.nan
+        gain = np.ones(64)
+        with np.errstate(all="ignore"):
+            _same(_unchanged(rms_norm, x, gain), oracle_rms_norm(x, gain))
+
+    def test_float32_mixed_and_non_contiguous(self, rng):
+        x = (rng.standard_normal((9, 48)) * 4).astype(np.float32)
+        gain32 = (1.0 + 0.1 * rng.standard_normal(48)).astype(np.float32)
+        _same(_unchanged(rms_norm, x, gain32), oracle_rms_norm(x, gain32))
+        gain64 = gain32.astype(np.float64)  # a wider gain widens the result
+        _same(_unchanged(rms_norm, x, gain64), oracle_rms_norm(x, gain64))
+        xt = rng.standard_normal((48, 9)).T
+        _same(_unchanged(rms_norm, xt, gain64), oracle_rms_norm(xt, gain64))
+
+
+class TestApplyRope:
+    @pytest.mark.parametrize(
+        "batch,heads,seq,head_dim", [(4, 8, 72, 32), (1, 4, 1, 16), (3, 2, 7, 6)]
+    )
+    def test_model_shaped(self, rng, batch, heads, seq, head_dim):
+        """The model's layout: a transposed projection, per-row
+        position tables broadcast over heads."""
+        x = rng.standard_normal((batch, seq, heads, head_dim)).transpose(0, 2, 1, 3) * 3
+        cos, sin = rope_cache(seq + 40 + batch, head_dim)
+        positions = 40 + np.arange(seq)[None] + np.arange(batch)[:, None]
+        c, s = cos[positions][:, None], sin[positions][:, None]
+        _same(_unchanged(apply_rope, x, c, s), oracle_apply_rope(x, c, s))
+
+    def test_plain_tables_and_edge_values(self, rng):
+        x = rng.standard_normal((2, 3, 5, 8)) * 4
+        x[0, 0, 0] = [0.0, -0.0, 1e-300, 5e-324, 1e300, -1e300, np.inf, np.nan]
+        cos, sin = rope_cache(5, 8)
+        with np.errstate(all="ignore"):
+            _same(_unchanged(apply_rope, x, cos, sin), oracle_apply_rope(x, cos, sin))
+
+    def test_float32(self, rng):
+        x = (rng.standard_normal((1, 2, 6, 8)) * 4).astype(np.float32)
+        cos, sin = rope_cache(6, 8)
+        _same(_unchanged(apply_rope, x, cos, sin), oracle_apply_rope(x, cos, sin))
+        c32, s32 = cos.astype(np.float32), sin.astype(np.float32)
+        _same(_unchanged(apply_rope, x, c32, s32), oracle_apply_rope(x, c32, s32))
+
+
 class TestCausalAttention:
     @pytest.mark.parametrize("past_len", [0, 1, 5, 37, 130])
     def test_one_token_step_ragged_past(self, rng, past_len):
@@ -243,6 +317,16 @@ class TestKlDivergence:
         q = p + rng.standard_normal(p.shape) * 0.1
         assert _unchanged(kl_divergence_mean, p, q) == oracle_kl_divergence_mean(p, q)
 
+    @pytest.mark.parametrize(
+        "shape", [(4, 128, 2048), (5, 7, 64), (3, 64), (1, 5, 64), (64,)], ids=str
+    )
+    def test_row_slices_of_any_rank(self, rng, shape):
+        """The terms are computed over slices of the leading axis (on
+        the worker pool), then averaged in one mean."""
+        p = rng.standard_normal(shape) * 3
+        q = p + rng.standard_normal(shape) * 0.1
+        assert _unchanged(kl_divergence_mean, p, q) == oracle_kl_divergence_mean(p, q)
+
     def test_saturated_rows(self, rng):
         p = rng.standard_normal((6, 64)) * 3
         q = rng.standard_normal((6, 64)) * 3
@@ -278,6 +362,8 @@ def test_quick_ppl_cell_equals_oracles(model, monkeypatch):
     monkeypatch.setattr(layers, "silu", oracle_silu)
     monkeypatch.setattr(transformer, "silu", oracle_silu)
     monkeypatch.setattr(transformer, "layer_norm", oracle_layer_norm)
+    monkeypatch.setattr(transformer, "rms_norm", oracle_rms_norm)
+    monkeypatch.setattr(transformer, "apply_rope", oracle_apply_rope)
     monkeypatch.setattr(transformer, "causal_attention", oracle_causal_attention)
     monkeypatch.setattr(perplexity, "softmax", oracle_softmax)
     monkeypatch.setattr(perplexity, "kl_divergence_mean", oracle_kl_divergence_mean)
